@@ -20,13 +20,15 @@ Instance::Instance(std::string name, netsim::PhysicalGraph physical,
       policy_(std::move(policy)),
       bgp_ids_(std::move(bgp_ids)),
       node_names_(std::move(node_names)) {
-  const auto report = netsim::validate(physical_, clusters_, sessions_);
+  // Structural checks now; the IGP checks wait for the base epoch below, so
+  // the all-pairs table is built once.
+  netsim::ValidationReport report;
+  netsim::check_structure(physical_, clusters_, sessions_, report);
   if (!report.ok()) {
     std::string message = "Instance '" + name_ + "' invalid:";
     for (const auto& error : report.errors) message += "\n  - " + error;
     throw std::invalid_argument(message);
   }
-  warnings_ = report.warnings;
 
   for (const auto& path : exits_.all()) {
     if (path.exit_point >= physical_.node_count()) {
@@ -73,6 +75,8 @@ Instance::Instance(std::string name, netsim::PhysicalGraph physical,
   // Seed the cache with the base epoch so a churn sequence that restores the
   // original costs gets back this very object (pointer-equal to igp_).
   igp_ = spf_cache_->get(netsim::LinkState(physical_).effective());
+  netsim::check_igp(physical_, *igp_, report);
+  warnings_ = std::move(report.warnings);
 }
 
 NodeId Instance::find_node(std::string_view label) const {

@@ -31,9 +31,11 @@ class Instance {
   /// Assembles and finalizes an instance.  Computes all-pairs shortest
   /// paths, assigns default BGP identifiers (bgp_id(v) = v) when `bgp_ids`
   /// is empty, and validates:
-  ///   - structural session constraints (netsim::validate),
+  ///   - structural session constraints (netsim::check_structure),
   ///   - every exit point names an existing node.
-  /// Throws std::invalid_argument on any validation error.
+  /// Throws std::invalid_argument on any validation error.  The IGP
+  /// warnings (netsim::check_igp) are taken against the base epoch, so the
+  /// all-pairs table is built once.
   ///
   /// `ingress_maps` (empty, or one RouteMap per node) are per-node E-BGP
   /// import route-maps: map v is applied once, here, to every exit path

@@ -35,9 +35,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       link_state_(inst.physical()),
       igp_(inst.igp_handle()),
       nodes_(inst.node_count()),
-      session_last_delivery_(inst.node_count() * inst.node_count(), 0),
-      session_epoch_(inst.node_count() * inst.node_count(), 0),
-      session_admin_down_(inst.node_count() * inst.node_count(), false),
+      session_base_(inst.node_count() + 1, 0),
       node_up_(inst.node_count(), true),
       graceful_down_(inst.node_count(), false),
       gr_generation_(inst.node_count(), 0),
@@ -47,8 +45,10 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       decisions_by_node_(inst.node_count()),
       flips_by_node_(inst.node_count(), 0) {
   const std::size_t paths = inst.exits().size();
+  const auto& clusters = inst.clusters();
   for (NodeId v = 0; v < nodes_.size(); ++v) {
-    const std::size_t peer_count = inst.sessions().peers(v).size();
+    const auto peers = inst.sessions().peers(v);
+    const std::size_t peer_count = peers.size();
     nodes_[v].holders.resize(paths);
     nodes_[v].stale.resize(paths);
     nodes_[v].own.assign(paths, false);
@@ -56,6 +56,16 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
     nodes_[v].desired_out.resize(peer_count);
     nodes_[v].mrai_ready.assign(peer_count, 0);
     nodes_[v].flush_scheduled.assign(peer_count, false);
+    session_base_[v + 1] = session_base_[v] + peer_count;
+    for (const NodeId peer : peers) {
+      SessionSlot slot;
+      if (clusters.same_cluster(v, peer)) {
+        slot.peer_class = clusters.is_client(peer) ? kOwnClient : kClusterReflector;
+      } else {
+        slot.peer_class = kOtherPeer;
+      }
+      session_slots_.push_back(slot);
+    }
   }
 }
 
@@ -203,8 +213,11 @@ void EventEngine::emit_trace_preamble() {
 }
 
 bool EventEngine::session_up(NodeId u, NodeId v) const {
-  return node_up_.at(u) && node_up_.at(v) && !session_admin_down_[sess(u, v)] &&
-         igp_->reachable(u, v);
+  const auto peers = inst_->sessions().peers(u);
+  const auto it = std::lower_bound(peers.begin(), peers.end(), v);
+  if (it == peers.end() || *it != v) return false;
+  const SessionSlot& slot = session_slots_[session_base_[u] + (it - peers.begin())];
+  return node_up_[u] && node_up_.at(v) && !slot.admin_down && igp_->reachable(u, v);
 }
 
 std::span<const PathId> EventEngine::advertised_to(NodeId from, NodeId to) const {
@@ -326,55 +339,38 @@ std::size_t EventEngine::peer_index(NodeId u, NodeId peer) const {
   return static_cast<std::size_t>(it - peers.begin());
 }
 
-NodeId EventEngine::attributed_source(NodeId u, PathId p) const {
-  const auto& holders = nodes_[u].holders[p];
-  NodeId best = kNoNode;
-  BgpId best_id = std::numeric_limits<BgpId>::max();
-  for (const NodeId v : holders) {
-    if (inst_->bgp_id(v) < best_id) {
-      best_id = inst_->bgp_id(v);
-      best = v;
-    }
-  }
-  return best;
-}
-
-bool EventEngine::may_send(NodeId u, NodeId peer, PathId p) const {
+EventEngine::ExportVerdict EventEngine::export_verdict(NodeId u, PathId p,
+                                                      NodeId source) const {
   const auto& clusters = inst_->clusters();
-  const NodeId exit_point = inst_->exits()[p].exit_point;
+  ExportVerdict verdict{p, 0, inst_->exits()[p].exit_point, source};
 
-  if (exit_point == u) return true;  // own E-BGP route: to every peer
+  // Own E-BGP route: to every peer (none of them is its exit point).
+  if (verdict.exit_point == u) {
+    verdict.classes = kAnyPeer;
+    verdict.source = kNoNode;
+    return verdict;
+  }
+  // Clients never forward I-BGP routes; an unheld path has nothing to forward.
+  if (clusters.is_client(u) || source == kNoNode) return verdict;
 
-  // A path is never announced back to its exit point (it already holds the
-  // E-BGP original; mirrors ORIGINATOR_ID suppression).
-  if (exit_point == peer) return false;
-
-  if (clusters.is_client(u)) return false;  // clients never forward I-BGP routes
+  // Learned from a client: reflect to all peers; from a non-client: to own
+  // clients only.  Either way never back to the exit point (it holds the
+  // E-BGP original; mirrors ORIGINATOR_ID) nor to the source (no echo).
+  const bool from_own_client =
+      clusters.is_client(source) && clusters.same_cluster(source, u);
+  verdict.classes = from_own_client ? kAnyPeer : kOwnClient;
 
   // CLUSTER_LIST loop prevention (RFC 1966): a route exiting inside this
   // cluster must not bounce between the cluster's reflectors — every one of
   // them hears it from the exit point directly (constraint 2 of Section 4).
   // Without this, two same-cluster reflectors endlessly re-attribute each
   // other's reflections and the protocol livelocks.
-  if (clusters.is_reflector(peer) && clusters.same_cluster(u, peer) &&
-      clusters.same_cluster(exit_point, u)) {
-    return false;
-  }
-
-  const NodeId src = attributed_source(u, p);
-  if (src == kNoNode) return false;  // nothing to forward
-  if (src == peer) return false;     // never echo to the originator session
-
-  const bool src_is_my_client =
-      clusters.is_client(src) && clusters.same_cluster(src, u);
-  if (src_is_my_client) return true;  // reflect to all peers except originator
-
-  // Learned from a non-client: reflect to own clients only.
-  return clusters.is_client(peer) && clusters.same_cluster(peer, u);
+  if (clusters.same_cluster(verdict.exit_point, u)) verdict.classes &= ~kClusterReflector;
+  return verdict;
 }
 
-void EventEngine::push_update(NodeId from, NodeId to, PathId path, bool announce,
-                              SimTime now, std::uint64_t msg_seq) {
+void EventEngine::push_update(NodeId from, NodeId to, SessionSlot& slot, PathId path,
+                              bool announce, SimTime now, std::uint64_t msg_seq) {
   Event event;
   event.kind = EventKind::kUpdate;
   event.from = from;
@@ -383,18 +379,18 @@ void EventEngine::push_update(NodeId from, NodeId to, PathId path, bool announce
   event.announce = announce;
   event.seq = next_seq_++;
   event.pid = cause_;  // the delivery being processed caused this send
-  event.epoch = session_epoch_[sess(from, to)];
+  event.epoch = slot.epoch;
   const SimTime requested = now + delay_(from, to, msg_seq);
   // FIFO per directed session: never deliver before an earlier message on
   // the same session.
-  SimTime& last = session_last_delivery_[sess(from, to)];
-  event.time = std::max(requested, last);
-  last = event.time;
+  event.time = std::max(requested, slot.last_delivery);
+  slot.last_delivery = event.time;
   queue_.push(event);
 }
 
-void EventEngine::enqueue_update(NodeId from, NodeId to, PathId path, bool announce,
-                                 SimTime now) {
+void EventEngine::enqueue_update(NodeId from, std::size_t peer_index, PathId path,
+                                 bool announce, SimTime now) {
+  const NodeId to = inst_->sessions().peers(from)[peer_index];
   const std::uint64_t msg_seq = session_msg_seq_++;
   ++updates_sent_;
   MessageFate fate = MessageFate::kDeliver;
@@ -407,26 +403,37 @@ void EventEngine::enqueue_update(NodeId from, NodeId to, PathId path, bool annou
     injector_->on_drop(*this, from, to, now);
     return;
   }
-  push_update(from, to, path, announce, now, msg_seq);
+  push_update(from, to, slot(from, peer_index), path, announce, now, msg_seq);
   if (fate == MessageFate::kDuplicate) {
     ++messages_duplicated_;
     ++updates_sent_;
-    push_update(from, to, path, announce, now, session_msg_seq_++);
+    push_update(from, to, slot(from, peer_index), path, announce, now, session_msg_seq_++);
   }
 }
 
 void EventEngine::reconsider(NodeId u, SimTime now) {
   NodeState& node = nodes_[u];
 
-  // Candidates: own injected exits plus everything some peer announced.
-  std::vector<bgp::Candidate> candidates;
+  // Candidates: own injected exits plus everything some peer announced,
+  // attributed to the lowest-BGP-id holder — the source export keys on too.
+  auto& candidates = candidates_;
+  candidates.clear();
+  sources_.clear();
   for (PathId p = 0; p < inst_->exits().size(); ++p) {
     if (node.own[p]) {
       candidates.push_back({p, inst_->exits()[p].ebgp_peer});
+      sources_.push_back(kNoNode);
     } else if (!node.holders[p].empty()) {
+      NodeId source = kNoNode;
       BgpId lowest = std::numeric_limits<BgpId>::max();
-      for (const NodeId v : node.holders[p]) lowest = std::min(lowest, inst_->bgp_id(v));
+      for (const NodeId v : node.holders[p]) {
+        if (inst_->bgp_id(v) < lowest) {
+          lowest = inst_->bgp_id(v);
+          source = v;
+        }
+      }
       candidates.push_back({p, lowest});
+      sources_.push_back(source);
     }
   }
 
@@ -482,16 +489,44 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     set_fib(u, new_best, now);
   }
 
+  // One export verdict per advertised path (both lists ascend by path).
+  verdicts_.clear();
+  std::size_t c = 0;
+  for (const PathId p : decision.advertised) {
+    while (c < candidates.size() && candidates[c].path < p) ++c;
+    const NodeId source =
+        c < candidates.size() && candidates[c].path == p ? sources_[c] : kNoNode;
+    const ExportVerdict verdict = export_verdict(u, p, source);
+    if (verdict.classes != 0) verdicts_.push_back(verdict);
+  }
+
+  // Without an MRAI every sync completes at once, so a node whose verdicts
+  // are unchanged and whose peers all hold their filtered sets (resync
+  // clear) has nothing to send.  With an MRAI every peer still goes through
+  // sync_peer: each call inside a hold-down counts as a deferral, whether
+  // or not the peer's set changed.
+  const bool batching = mrai_ > 0;
+  if (!batching && !node.resync && verdicts_ == node.verdicts) return;
+  node.verdicts.swap(verdicts_);
+  node.resync = false;  // sync_peer sets it again on a down session
+
   // Per-peer target sets; UPDATE diffs flow immediately, or — with an MRAI
   // configured — as batched net diffs at the next permitted send time.
   const auto peers = inst_->sessions().peers(u);
   for (std::size_t i = 0; i < peers.size(); ++i) {
     const NodeId peer = peers[i];
-    std::vector<PathId> target;
-    for (const PathId p : decision.advertised) {
-      if (may_send(u, peer, p)) target.push_back(p);
+    const std::uint8_t peer_class = slot(u, i).peer_class;
+    target_.clear();
+    for (const ExportVerdict& verdict : node.verdicts) {
+      if ((verdict.classes & peer_class) != 0 && peer != verdict.exit_point &&
+          peer != verdict.source) {
+        target_.push_back(verdict.path);
+      }
     }
-    node.desired_out[i] = std::move(target);
+    if (!batching && target_ == node.desired_out[i] && target_ == node.advertised_out[i]) {
+      continue;  // already in sync with this peer
+    }
+    node.desired_out[i] = target_;
     sync_peer(u, i, now);
   }
 }
@@ -500,7 +535,10 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
   const obs::Span span(profile_.live_transfer);
   NodeState& node = nodes_[u];
   const NodeId peer = inst_->sessions().peers(u)[peer_index];
-  if (!session_up(u, peer)) return;  // nothing flows on a downed session
+  if (!session_up(u, peer)) {
+    node.resync = true;  // nothing flows on a downed session: out of sync
+    return;
+  }
   if (mrai_ > 0 && now < node.mrai_ready[peer_index]) {
     // Inside the hold-down window: batch the change into one deferred flush.
     ++mrai_deferrals_;
@@ -517,7 +555,7 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
       // reset is voided instead of leaking a stale hold-down advertisement
       // into the re-established session (whose resync already replayed the
       // full table).
-      event.epoch = session_epoch_[sess(u, peer)];
+      event.epoch = slot(u, peer_index).epoch;
       queue_.push(event);
     }
     return;
@@ -528,13 +566,13 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
   bool sent = false;
   for (const PathId p : current) {
     if (!std::binary_search(target.begin(), target.end(), p)) {
-      enqueue_update(u, peer, p, /*announce=*/false, now);
+      enqueue_update(u, peer_index, p, /*announce=*/false, now);
       sent = true;
     }
   }
   for (const PathId p : target) {
     if (!std::binary_search(current.begin(), current.end(), p)) {
-      enqueue_update(u, peer, p, /*announce=*/true, now);
+      enqueue_update(u, peer_index, p, /*announce=*/true, now);
       sent = true;
     }
   }
@@ -567,13 +605,27 @@ void EventEngine::record_best_loss(NodeId v, SimTime now) {
   node.best.reset();
 }
 
+void EventEngine::clear_send_state(NodeState& node, std::size_t peer_index) {
+  node.advertised_out[peer_index].clear();
+  node.desired_out[peer_index].clear();
+  node.mrai_ready[peer_index] = 0;
+  node.flush_scheduled[peer_index] = false;  // a pending flush event fires as a no-op
+  node.resync = true;  // the cleared sets no longer match the verdicts
+}
+
+void EventEngine::reset_session(NodeId u, NodeId v) {
+  // Void in-flight messages both ways and forget FIFO history: a delayed
+  // pre-reset message must not push post-re-establishment traffic into the
+  // future.
+  for (SessionSlot* s : {&slot_to(u, v), &slot_to(v, u)}) {
+    ++s->epoch;
+    s->last_delivery = 0;
+  }
+}
+
 void EventEngine::flush_endpoint(NodeId u, NodeId peer) {
   NodeState& node = nodes_[u];
-  const std::size_t pi = peer_index(u, peer);
-  node.advertised_out[pi].clear();
-  node.desired_out[pi].clear();
-  node.mrai_ready[pi] = 0;
-  node.flush_scheduled[pi] = false;  // a pending flush event fires as a no-op
+  clear_send_state(node, peer_index(u, peer));
   for (auto& holders : node.holders) {
     const auto it = std::lower_bound(holders.begin(), holders.end(), peer);
     if (it != holders.end() && *it == peer) holders.erase(it);
@@ -588,18 +640,11 @@ void EventEngine::detach_session_graceful(NodeId v, NodeId w) {
   // Like sever_session, but w keeps what it heard from v: the entries are
   // marked stale instead of flushed.  v's side loses everything (its
   // control plane is restarting).
-  ++session_epoch_[sess(v, w)];
-  ++session_epoch_[sess(w, v)];
-  session_last_delivery_[sess(v, w)] = 0;
-  session_last_delivery_[sess(w, v)] = 0;
+  reset_session(v, w);
   flush_endpoint(v, w);
   NodeState& wn = nodes_[w];
-  const std::size_t pi = peer_index(w, v);
   // w must replay its full table on re-establishment (v remembers nothing).
-  wn.advertised_out[pi].clear();
-  wn.desired_out[pi].clear();
-  wn.mrai_ready[pi] = 0;
-  wn.flush_scheduled[pi] = false;
+  clear_send_state(wn, peer_index(w, v));
   for (PathId p = 0; p < wn.holders.size(); ++p) {
     const auto& holders = wn.holders[p];
     if (!std::binary_search(holders.begin(), holders.end(), v)) continue;
@@ -645,30 +690,25 @@ void EventEngine::send_end_of_rib(NodeId v, NodeId w, SimTime now) {
   event.to = w;
   event.seq = next_seq_++;
   event.pid = cause_;  // caused by the restart delivery that replayed the table
-  event.epoch = session_epoch_[sess(v, w)];
+  SessionSlot& session = slot_to(v, w);
+  event.epoch = session.epoch;
   const SimTime requested = now + delay_(v, w, session_msg_seq_++);
-  SimTime& last = session_last_delivery_[sess(v, w)];
-  event.time = std::max(requested, last);
-  last = event.time;
+  event.time = std::max(requested, session.last_delivery);
+  session.last_delivery = event.time;
   queue_.push(event);
   ++eor_sent_;
 }
 
 void EventEngine::sever_session(NodeId u, NodeId v) {
-  ++session_epoch_[sess(u, v)];
-  ++session_epoch_[sess(v, u)];
-  // Forget FIFO history: a delayed pre-reset message must not push
-  // post-re-establishment traffic into the future.
-  session_last_delivery_[sess(u, v)] = 0;
-  session_last_delivery_[sess(v, u)] = 0;
+  reset_session(u, v);
   flush_endpoint(u, v);
   flush_endpoint(v, u);
 }
 
 void EventEngine::apply_session_down(NodeId u, NodeId v, SimTime now) {
-  if (session_admin_down_[sess(u, v)]) return;  // already down
-  session_admin_down_[sess(u, v)] = true;
-  session_admin_down_[sess(v, u)] = true;
+  if (slot_to(u, v).admin_down) return;  // already down
+  slot_to(u, v).admin_down = true;
+  slot_to(v, u).admin_down = true;
   record_fault({now, FaultKind::kSessionDown, u, v});
   sever_session(u, v);
   if (node_up_[u]) reconsider(u, now);
@@ -676,9 +716,9 @@ void EventEngine::apply_session_down(NodeId u, NodeId v, SimTime now) {
 }
 
 void EventEngine::apply_session_up(NodeId u, NodeId v, SimTime now) {
-  if (!session_admin_down_[sess(u, v)]) return;  // already up
-  session_admin_down_[sess(u, v)] = false;
-  session_admin_down_[sess(v, u)] = false;
+  if (!slot_to(u, v).admin_down) return;  // already up
+  slot_to(u, v).admin_down = false;
+  slot_to(v, u).admin_down = false;
   record_fault({now, FaultKind::kSessionUp, u, v});
   // Initial-table exchange: each side re-advertises its full desired set
   // (advertised_out toward the peer is empty since the down flush).
@@ -715,12 +755,7 @@ void EventEngine::apply_crash(NodeId v, SimTime now) {
   record_best_loss(v, now);
   fib_frozen_[v] = false;
   set_fib(v, kNoPath, now);
-  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) {
-    node.advertised_out[i].clear();
-    node.desired_out[i].clear();
-    node.mrai_ready[i] = 0;
-    node.flush_scheduled[i] = false;
-  }
+  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) clear_send_state(node, i);
   for (const NodeId w : peers) {
     if (node_up_[w]) reconsider(w, now);
   }
@@ -785,12 +820,12 @@ void EventEngine::apply_end_of_rib(NodeId v, NodeId w, std::uint64_t epoch, SimT
     util::json::Object fields;
     fields.emplace_back("from", v);
     fields.emplace_back("to", w);
-    fields.emplace_back("voided", epoch != session_epoch_[sess(v, w)]);
+    fields.emplace_back("voided", epoch != slot_to(v, w).epoch);
     if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
     if (cause_parent_ != kNoCause) fields.emplace_back("pid", cause_parent_);
     trace_->emit(now, "eor", std::move(fields));
   }
-  if (epoch != session_epoch_[sess(v, w)]) {
+  if (epoch != slot_to(v, w).epoch) {
     // The session reset after the marker was sent: it died in flight.
     ++deliveries_voided_;
     return;
@@ -966,7 +1001,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
         break;
       case EventKind::kUpdate: {
         const bool voided =
-            event.epoch != session_epoch_[sess(event.from, event.to)];
+            event.epoch != slot_to(event.from, event.to).epoch;
         if (tracing()) {
           util::json::Object fields;
           fields.emplace_back("from", event.from);
@@ -1002,7 +1037,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
       case EventKind::kMraiFlush: {
         // event.from = the batching node, event.to = the peer.
         if (!node_up_[event.from]) break;  // state died with the crash
-        if (event.epoch != session_epoch_[sess(event.from, event.to)]) {
+        if (event.epoch != slot_to(event.from, event.to).epoch) {
           // Scheduled before a reset of this session: the hold-down state it
           // would have flushed died with the old epoch (flush_endpoint
           // cleared it), and the re-established session already replayed a
@@ -1206,9 +1241,22 @@ EngineState EventEngine::capture() const {
     state.nodes.push_back(std::move(snap));
   }
 
-  state.session_last_delivery = session_last_delivery_;
-  state.session_epoch = session_epoch_;
-  state.session_admin_down = session_admin_down_;
+  // ibgp-ckpt-v1 keeps session state dense (node×node); only session pairs
+  // carry anything, so every other entry stays zero.
+  const std::size_t n = inst_->node_count();
+  state.session_last_delivery.assign(n * n, 0);
+  state.session_epoch.assign(n * n, 0);
+  state.session_admin_down.assign(n * n, false);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto peers = inst_->sessions().peers(u);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const SessionSlot& session = session_slots_[session_base_[u] + i];
+      const std::size_t dense = u * n + peers[i];
+      state.session_last_delivery[dense] = session.last_delivery;
+      state.session_epoch[dense] = session.epoch;
+      state.session_admin_down[dense] = session.admin_down;
+    }
+  }
   state.node_up = node_up_;
   state.graceful_down = graceful_down_;
   state.gr_generation = gr_generation_;
@@ -1286,12 +1334,30 @@ void EventEngine::restore(const EngineState& state) {
 
   const std::size_t n = inst_->node_count();
   const std::size_t paths = inst_->exits().size();
-  const std::size_t sessions = n * n;
   if (state.nodes.size() != n) restore_error("node snapshot count mismatch");
-  if (state.session_last_delivery.size() != sessions ||
-      state.session_epoch.size() != sessions ||
-      state.session_admin_down.size() != sessions) {
+  if (state.session_last_delivery.size() != n * n || state.session_epoch.size() != n * n ||
+      state.session_admin_down.size() != n * n) {
     restore_error("session vector size mismatch");
+  }
+  // Only session pairs may carry state.  Non-zero entries are few, so scan
+  // for them and look each one up.
+  const auto require_session = [&](std::size_t dense) {
+    const auto u = static_cast<NodeId>(dense / n);
+    const auto v = static_cast<NodeId>(dense % n);
+    if (!inst_->sessions().has_session(u, v)) {
+      restore_error("session state for " + std::to_string(u) + "->" + std::to_string(v) +
+                    ", which is not a session");
+    }
+  };
+  for (std::size_t dense = 0; dense < n * n; ++dense) {
+    if ((state.session_last_delivery[dense] | state.session_epoch[dense]) != 0) {
+      require_session(dense);
+    }
+  }
+  const auto& admin_down = state.session_admin_down;
+  for (auto it = std::find(admin_down.begin(), admin_down.end(), true); it != admin_down.end();
+       it = std::find(std::next(it), admin_down.end(), true)) {
+    require_session(static_cast<std::size_t>(it - admin_down.begin()));
   }
   if (state.node_up.size() != n || state.graceful_down.size() != n ||
       state.gr_generation.size() != n || state.fib.size() != n ||
@@ -1366,11 +1432,22 @@ void EventEngine::restore(const EngineState& state) {
     node.desired_out = snap.desired_out;
     node.mrai_ready = snap.mrai_ready;
     node.flush_scheduled = snap.flush_scheduled;
+    // Verdicts are not captured: the first reconsider re-derives them and
+    // runs the full peer loop.
+    node.verdicts.clear();
+    node.resync = true;
   }
 
-  session_last_delivery_ = state.session_last_delivery;
-  session_epoch_ = state.session_epoch;
-  session_admin_down_ = state.session_admin_down;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto peers = inst_->sessions().peers(u);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      SessionSlot& session = slot(u, i);
+      const std::size_t dense = u * n + peers[i];
+      session.last_delivery = state.session_last_delivery[dense];
+      session.epoch = state.session_epoch[dense];
+      session.admin_down = state.session_admin_down[dense];
+    }
+  }
   node_up_ = state.node_up;
   graceful_down_ = state.graceful_down;
   gr_generation_ = state.gr_generation;

@@ -472,7 +472,8 @@ class EventEngine {
 
   /// Whether session u—v currently carries messages: both endpoints up, no
   /// administrative down in force, and the endpoints IGP-reachable under
-  /// the current epoch (TCP cannot cross a partition).
+  /// the current epoch (TCP cannot cross a partition).  False for a pair
+  /// that shares no session.
   [[nodiscard]] bool session_up(NodeId u, NodeId v) const;
 
   /// The IGP epoch currently in force (the base igp() of the instance until
@@ -606,6 +607,35 @@ class EventEngine {
     }
   };
 
+  /// Class of a session peer relative to the exporting node, as the
+  /// announcement rules see it (one bit each, so a verdict is a mask).
+  enum PeerClass : std::uint8_t {
+    kOwnClient = 1,         ///< a client in the exporter's cluster
+    kClusterReflector = 2,  ///< a reflector in the exporter's cluster
+    kOtherPeer = 4,         ///< anyone else (reflectors of other clusters)
+    kAnyPeer = kOwnClient | kClusterReflector | kOtherPeer,
+  };
+
+  /// One advertised path's export verdict at a node: the peer classes it
+  /// goes to, plus the two peers it never goes to whatever their class —
+  /// its exit point (ORIGINATOR_ID) and the holder it is attributed to (no
+  /// echo).  Paths sent nowhere get no verdict.
+  struct ExportVerdict {
+    PathId path = kNoPath;
+    std::uint8_t classes = 0;  // PeerClass mask
+    NodeId exit_point = kNoNode;
+    NodeId source = kNoNode;  // kNoNode for own E-BGP paths
+    bool operator==(const ExportVerdict&) const = default;
+  };
+
+  /// Send state of one directed session from -> to.
+  struct SessionSlot {
+    SimTime last_delivery = 0;  // FIFO enforcement
+    std::uint64_t epoch = 0;    // bumped per reset, voids in-flight msgs
+    bool admin_down = false;    // explicit session faults (set on both directions)
+    std::uint8_t peer_class = 0;  // PeerClass of `to` seen from `from`; static
+  };
+
   struct NodeState {
     /// holders[p] = session peers currently announcing p to us, ascending.
     std::vector<std::vector<NodeId>> holders;
@@ -622,23 +652,34 @@ class EventEngine {
     std::vector<std::vector<PathId>> desired_out;
     std::vector<SimTime> mrai_ready;
     std::vector<bool> flush_scheduled;
+    /// Export verdicts of the last reconsider (derived, never captured).
+    std::vector<ExportVerdict> verdicts;
+    /// Clear only while every peer's advertised_out and desired_out equal
+    /// the filter of `verdicts` for that peer; then an unchanged verdict
+    /// list means nothing to send.  Set when a sync stops at a down session
+    /// and whenever per-peer sets are cleared outside reconsider.
+    bool resync = false;
   };
 
-  void enqueue_update(NodeId from, NodeId to, PathId path, bool announce, SimTime now);
-  void push_update(NodeId from, NodeId to, PathId path, bool announce, SimTime now,
-                   std::uint64_t msg_seq);
+  void enqueue_update(NodeId from, std::size_t peer_index, PathId path, bool announce,
+                      SimTime now);
+  void push_update(NodeId from, NodeId to, SessionSlot& slot, PathId path, bool announce,
+                   SimTime now, std::uint64_t msg_seq);
   void reconsider(NodeId u, SimTime now);
+  /// Node u's verdict for advertised path p, attributed to `source`.
+  [[nodiscard]] ExportVerdict export_verdict(NodeId u, PathId p, NodeId source) const;
   /// Sends the net diff desired_out -> advertised_out for one peer (MRAI
   /// permitting), or schedules the deferred flush.
   void sync_peer(NodeId u, std::size_t peer_index, SimTime now);
-  [[nodiscard]] bool may_send(NodeId u, NodeId peer, PathId p) const;
   [[nodiscard]] std::size_t peer_index(NodeId u, NodeId peer) const;
-  /// The peer whose copy of p node u has attributed (lowest BGP id holder),
-  /// or kNoNode for own paths / unseen paths.
-  [[nodiscard]] NodeId attributed_source(NodeId u, PathId p) const;
 
-  [[nodiscard]] std::size_t sess(NodeId from, NodeId to) const {
-    return static_cast<std::size_t>(from) * inst_->node_count() + to;
+  /// The directed session from -> peers(from)[peer_index]; slots are laid
+  /// out by sender, then peer rank, so a node's sessions are contiguous.
+  [[nodiscard]] SessionSlot& slot(NodeId from, std::size_t peer_index) {
+    return session_slots_[session_base_[from] + peer_index];
+  }
+  [[nodiscard]] SessionSlot& slot_to(NodeId from, NodeId to) {
+    return slot(from, peer_index(from, to));
   }
   void push_fault(EventKind kind, NodeId a, NodeId b, SimTime when, Cost cost = 0);
   /// Validates that a—b is a physical link and returns its index.
@@ -651,6 +692,12 @@ class EventEngine {
   /// Voids in-flight messages on u—v (both directions) and flushes both
   /// endpoints' per-session state (Adj-RIB-In entries, advertised sets).
   void sever_session(NodeId u, NodeId v);
+  /// Bumps both directions' epochs (voiding in-flight messages) and forgets
+  /// their FIFO history.
+  void reset_session(NodeId u, NodeId v);
+  /// Empties one peer's advertised/desired sets and MRAI hold-down; marks
+  /// the node for a full resync.
+  void clear_send_state(NodeState& node, std::size_t peer_index);
   /// Clears everything node u tracks about session u—peer.
   void flush_endpoint(NodeId u, NodeId peer);
   /// Voids in-flight messages on v—w and resets both ends' send state, but
@@ -689,9 +736,13 @@ class EventEngine {
   bool sealed_ = false;  // an event has been scheduled: config is frozen
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
   std::vector<NodeState> nodes_;
-  std::vector<SimTime> session_last_delivery_;  // FIFO enforcement, per directed session
-  std::vector<std::uint64_t> session_epoch_;  // bumped per reset, voids in-flight msgs
-  std::vector<bool> session_admin_down_;      // explicit session faults (symmetric)
+  std::vector<std::size_t> session_base_;  // node -> its first slot in session_slots_
+  std::vector<SessionSlot> session_slots_;  // one per directed session
+  // Working buffers of reconsider(), kept to reuse their capacity.
+  std::vector<bgp::Candidate> candidates_;
+  std::vector<NodeId> sources_;  // attributed holder per candidate
+  std::vector<ExportVerdict> verdicts_;
+  std::vector<PathId> target_;
   std::vector<bool> node_up_;
   std::vector<bool> graceful_down_;  // inside a graceful-restart window
   std::vector<std::uint64_t> gr_generation_;  // bumped per graceful down; guards timers
@@ -867,6 +918,9 @@ struct EngineState {
   };
   std::vector<NodeSnapshot> nodes;
 
+  /// Directed-session state as dense node×node arrays (index from·n + to).
+  /// Only session pairs carry state: restore rejects a non-zero entry for
+  /// any other pair.
   std::vector<SimTime> session_last_delivery;
   std::vector<std::uint64_t> session_epoch;
   std::vector<bool> session_admin_down;

@@ -66,7 +66,9 @@ bool shrink_pass(InstanceSpec& spec, const MinimizeGoal& goal, MinimizeStats* st
   // Attribute flattening: drive every value to its least-interesting form
   // that still reproduces the signature.
   for (std::size_t i = 0; i < spec.exits.size(); ++i) {
-    const ExitSpec& exit = spec.exits[i];
+    // A copy: an accepted candidate is moved into spec, which frees the
+    // exits a reference would point into.
+    const ExitSpec exit = spec.exits[i];
     if (exit.med != 0) {
       InstanceSpec candidate = spec;
       candidate.exits[i].med = 0;

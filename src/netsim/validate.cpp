@@ -10,23 +10,21 @@ namespace {
 std::string node_name(NodeId v) { return "node " + std::to_string(v); }
 }  // namespace
 
-ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& layout,
-                          const SessionGraph& sessions) {
-  ValidationReport report;
-
+bool check_structure(const PhysicalGraph& physical, const ClusterLayout& layout,
+                     const SessionGraph& sessions, ValidationReport& report) {
   if (physical.node_count() != layout.node_count() ||
       physical.node_count() != sessions.node_count()) {
     report.errors.push_back("node-count mismatch between physical graph (" +
                             std::to_string(physical.node_count()) + "), layout (" +
                             std::to_string(layout.node_count()) + ") and sessions (" +
                             std::to_string(sessions.node_count()) + ")");
-    return report;  // nothing else is meaningful
+    return false;  // nothing else is meaningful
   }
 
   if (!layout.complete()) {
     report.errors.push_back(
         "cluster layout incomplete: unassigned node or cluster without a reflector");
-    return report;
+    return false;
   }
 
   // Constraint 1: reflector full mesh.
@@ -67,25 +65,36 @@ ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& la
     }
   }
 
+  return true;
+}
+
+void check_igp(const PhysicalGraph& physical, const ShortestPaths& igp,
+               ValidationReport& report) {
   if (!physical.connected()) {
     report.warnings.push_back(
         "physical graph is disconnected: some exit points are unreachable");
-  } else {
-    // Triangle-inequality check over reflector-mesh pairs with direct links
-    // (footnote: I-BGP sessions ride shortest IGP paths, so direct costs
-    // should not exceed the shortest-path cost).
-    const ShortestPaths igp(physical);
-    for (const auto& link : physical.links()) {
-      if (igp.cost(link.a, link.b) < link.cost) {
-        report.warnings.push_back("physical link " + node_name(link.a) + " — " +
-                                  node_name(link.b) + " (cost " + std::to_string(link.cost) +
-                                  ") is costlier than the shortest path between its ends (" +
-                                  std::to_string(igp.cost(link.a, link.b)) +
-                                  "); triangle inequality violated");
-      }
+    return;
+  }
+  // Triangle-inequality check over directly linked pairs (footnote: I-BGP
+  // sessions ride shortest IGP paths, so direct costs should not exceed the
+  // shortest-path cost).
+  for (const auto& link : physical.links()) {
+    if (igp.cost(link.a, link.b) < link.cost) {
+      report.warnings.push_back("physical link " + node_name(link.a) + " — " +
+                                node_name(link.b) + " (cost " + std::to_string(link.cost) +
+                                ") is costlier than the shortest path between its ends (" +
+                                std::to_string(igp.cost(link.a, link.b)) +
+                                "); triangle inequality violated");
     }
   }
+}
 
+ValidationReport validate(const PhysicalGraph& physical, const ClusterLayout& layout,
+                          const SessionGraph& sessions) {
+  ValidationReport report;
+  if (check_structure(physical, layout, sessions, report)) {
+    check_igp(physical, ShortestPaths(physical), report);
+  }
   return report;
 }
 

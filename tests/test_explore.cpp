@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -224,6 +225,37 @@ TEST(Minimize, StripsJunkFromInflatedOscillator) {
   EXPECT_TRUE(minimized.route_maps.empty());
   EXPECT_TRUE(minimized.policy.med_overrides.empty());
   // And the minimized instance still shows the exact signature.
+  const auto inst = try_build(minimized);
+  ASSERT_TRUE(inst.has_value());
+  EXPECT_TRUE(satisfies(*inst, goal));
+}
+
+TEST(Minimize, ReadsLaterFieldsAfterAnAcceptedFlattening) {
+  // r1 is Fig 1(a)'s only AS1 path, so its MED never meets another under
+  // per-AS MED comparison: flattening it is accepted, which replaces the
+  // spec, and the pass must then go on reading r1's remaining fields from
+  // the new spec (the community tag here) rather than from the old one.
+  auto spec = spec_of(topo::fig1a());
+  const auto r1 = std::find_if(spec.exits.begin(), spec.exits.end(),
+                               [](const ExitSpec& exit) { return exit.name == "r1"; });
+  ASSERT_NE(r1, spec.exits.end());
+  r1->med = 7;
+  r1->communities = 5;
+
+  MinimizeGoal goal;
+  goal.protocol = core::ProtocolKind::kStandard;
+  goal.max_steps = 2000;
+  goal.signature = analysis::classify(build(spec), goal.protocol, goal.max_steps);
+  ASSERT_TRUE(goal.signature.oscillates());
+
+  MinimizeStats stats;
+  const auto minimized = minimize(spec, goal, &stats);
+  EXPECT_GT(stats.accepted, 0u);
+  const auto kept = std::find_if(minimized.exits.begin(), minimized.exits.end(),
+                                 [](const ExitSpec& exit) { return exit.name == "r1"; });
+  ASSERT_NE(kept, minimized.exits.end());
+  EXPECT_EQ(kept->med, 0u);
+  EXPECT_EQ(kept->communities, 0u);
   const auto inst = try_build(minimized);
   ASSERT_TRUE(inst.has_value());
   EXPECT_TRUE(satisfies(*inst, goal));
