@@ -34,17 +34,19 @@ struct ForwardTrace {
   PathId exit_path = kNoPath;
 };
 
-/// Traces one packet from `source` given each node's best exit path
-/// (kNoPath = node has no route).
-ForwardTrace trace_forwarding(const core::Instance& inst, std::span<const PathId> best,
-                              NodeId source);
-
-/// Same trace against an explicit IGP epoch (hop-by-hop next hops and
-/// reachability come from `igp` instead of the instance's frozen base
-/// graph) — required whenever link faults have churned the topology.
-ForwardTrace trace_forwarding(const core::Instance& inst,
-                              const netsim::ShortestPaths& igp,
-                              std::span<const PathId> best, NodeId source);
+/// Traces one packet from `source` into `trace`, given each node's best
+/// exit path (kNoPath = node has no route).  Hop-by-hop next hops and
+/// reachability come from `igp`: the instance's base igp(), or the epoch in
+/// force once link faults have churned the topology.
+///
+/// `visited` holds the walk's per-node marks: sized on first use and left
+/// all clear, so a replay reuses one buffer and one trace for every walk
+/// and allocates only while the trace's hop list grows.  Throws
+/// std::invalid_argument when `best` lacks an entry for some node or
+/// `source` is not a node.
+void trace_forwarding(const core::Instance& inst, const netsim::ShortestPaths& igp,
+                      std::span<const PathId> best, NodeId source,
+                      std::vector<bool>& visited, ForwardTrace& trace);
 
 struct ForwardingReport {
   std::vector<ForwardTrace> traces;  ///< one per node, in node order

@@ -110,14 +110,11 @@ struct Candidate {
 };
 
 /// Rules 1-3 (Choose^B, Fig 10) over bare exit paths.  Node-independent.
-/// Returns surviving ids in ascending order.  The policy's MED regime
-/// (including per-AS overrides) governs rule 3; `order` is irrelevant here.
-std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const PathId> paths,
-                                     const SelectionPolicy& policy);
-
-/// Convenience overload for the classic single-regime case.
-std::vector<PathId> choose_survivors(const ExitTable& table, std::span<const PathId> paths,
-                                     MedMode med_mode = MedMode::kPerNeighborAs);
+/// Writes the surviving ids to `out` (which must not alias `paths`) in
+/// ascending order.  The policy's MED regime (including per-AS overrides)
+/// governs rule 3; `order` is irrelevant here.
+void choose_survivors(const ExitTable& table, std::span<const PathId> paths,
+                      const SelectionPolicy& policy, std::vector<PathId>& out);
 
 /// Materializes route(p, u): metric and E-BGP-ness of `path` as seen from
 /// node u.  Returns nullopt when the exit point is IGP-unreachable from u.
@@ -175,6 +172,10 @@ struct SelectionProvenance {
 /// Returns nullopt when no candidate is usable (empty set or unreachable).
 /// When `provenance` is non-null it is overwritten with this invocation's
 /// elimination record.
+///
+/// Choose_best and Choose^B filter in per-thread scratch buffers, so once
+/// those (and a reused survivor vector) have grown to the largest candidate
+/// set seen on the thread, neither allocates.
 std::optional<RouteView> choose_best(const ExitTable& table, const netsim::ShortestPaths& igp,
                                      NodeId u, std::span<const Candidate> candidates,
                                      const SelectionPolicy& policy = {},

@@ -83,8 +83,8 @@ std::optional<ConfedEngine::View> ConfedEngine::view_of(NodeId u, PathId p) cons
 std::optional<PathId> ConfedEngine::select_best(
     NodeId u, std::span<const PathId> candidates) const {
   // Rules 1-3 are attribute-only.
-  const auto survivors =
-      bgp::choose_survivors(inst_->exits(), candidates, inst_->policy());
+  std::vector<PathId> survivors;
+  bgp::choose_survivors(inst_->exits(), candidates, inst_->policy(), survivors);
 
   // Rules 4-6 with the IOS confederation semantics: own E-BGP routes beat
   // everything; confed-external and internal routes compare by IGP metric to
@@ -127,7 +127,9 @@ std::optional<PathId> ConfedEngine::select_best(
 std::vector<PathId> ConfedEngine::advertised_set(NodeId u,
                                                  std::span<const PathId> visible) const {
   if (protocol_ == ConfedProtocol::kModified) {
-    return bgp::choose_survivors(inst_->exits(), visible, inst_->policy());
+    std::vector<PathId> survivors;
+    bgp::choose_survivors(inst_->exits(), visible, inst_->policy(), survivors);
+    return survivors;
   }
   const auto best = select_best(u, visible);
   if (!best) return {};

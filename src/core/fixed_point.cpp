@@ -11,7 +11,7 @@ FixedPointPrediction predict_fixed_point(const Instance& inst,
                                          std::span<const PathId> announced) {
   const std::size_t n = inst.node_count();
   FixedPointPrediction prediction;
-  prediction.s_prime = bgp::choose_survivors(inst.exits(), announced, inst.policy());
+  bgp::choose_survivors(inst.exits(), announced, inst.policy(), prediction.s_prime);
 
   // Reachability closure of S' members over the Transfer relation: has[u][p]
   // becomes true when u's own E-BGP learned p or some peer that has p may

@@ -1,7 +1,7 @@
 #include "core/policy.hpp"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 namespace ibgp::core {
 
@@ -14,91 +14,102 @@ const char* protocol_name(ProtocolKind kind) {
   return "?";
 }
 
-std::vector<PathId> walton_advertised(const Instance& inst, NodeId node,
-                                      std::span<const bgp::Candidate> possible) {
-  return walton_advertised(inst, inst.igp(), node, possible);
+namespace {
+
+/// Per-thread decide scratch (sweeps run cells on worker threads): the
+/// candidate paths fed to Choose^B, and the candidates a protocol selects
+/// over — GoodExits, or Walton's candidates sorted by neighboring AS.
+struct Scratch {
+  std::vector<PathId> ids;
+  std::vector<bgp::Candidate> candidates;
+};
+
+Scratch& scratch() {
+  thread_local Scratch buffers;
+  return buffers;
 }
 
-std::vector<PathId> walton_advertised(const Instance& inst,
-                                      const netsim::ShortestPaths& igp, NodeId node,
-                                      std::span<const bgp::Candidate> possible) {
+}  // namespace
+
+void walton_advertised(const Instance& inst, const netsim::ShortestPaths& igp, NodeId node,
+                       std::span<const bgp::Candidate> possible,
+                       const std::optional<bgp::RouteView>& overall,
+                       std::vector<PathId>& out) {
+  out.clear();
+  if (!overall) return;
   const auto& table = inst.exits();
-  const auto overall = bgp::choose_best(table, igp, node, possible, inst.policy());
-  if (!overall) return {};
   const LocalPref best_lp = table[overall->path].local_pref;
   const std::uint32_t best_len = table[overall->path].as_path_length;
 
-  // Partition candidates by neighboring AS; the vector preserves the
-  // learnedFrom attribution needed by the per-AS selection.
-  std::map<AsId, std::vector<bgp::Candidate>> by_as;
-  for (const auto& candidate : possible) {
-    by_as[table[candidate.path].next_as].push_back(candidate);
-  }
+  // Group candidates by neighboring AS with one sort on (next AS, path,
+  // learnedFrom); the copies keep the attribution the per-AS selection needs.
+  auto& sorted = scratch().candidates;
+  sorted.assign(possible.begin(), possible.end());
+  const auto key = [&](const bgp::Candidate& c) {
+    return std::tuple(table[c.path].next_as, c.path, c.learned_from);
+  };
+  std::sort(sorted.begin(), sorted.end(),
+            [&](const bgp::Candidate& a, const bgp::Candidate& b) { return key(a) < key(b); });
 
-  std::vector<PathId> advertised;
-  for (const auto& [as, group] : by_as) {
-    const auto group_best = bgp::choose_best(table, igp, node, group, inst.policy());
+  for (auto first = sorted.begin(); first != sorted.end();) {
+    const AsId as = table[first->path].next_as;
+    const auto last = std::find_if(first, sorted.end(), [&](const bgp::Candidate& c) {
+      return table[c.path].next_as != as;
+    });
+    const auto group_best =
+        bgp::choose_best(table, igp, node, std::span(first, last), inst.policy());
+    first = last;
     if (!group_best) continue;
     // Only announced when it matches the overall best's LOCAL-PREF and
     // AS-path length (Section 8, "Brief Overview of the Walton et al.
     // Solution").
     const auto& path = table[group_best->path];
     if (path.local_pref == best_lp && path.as_path_length == best_len) {
-      advertised.push_back(group_best->path);
+      out.push_back(group_best->path);
     }
   }
-  std::sort(advertised.begin(), advertised.end());
-  advertised.erase(std::unique(advertised.begin(), advertised.end()), advertised.end());
-  return advertised;
+  // One path per AS group, so the set holds no duplicates.
+  std::sort(out.begin(), out.end());
 }
 
-NodeDecision decide(const Instance& inst, ProtocolKind kind, NodeId node,
-                    std::span<const bgp::Candidate> possible,
-                    bgp::SelectionProvenance* provenance) {
-  return decide(inst, inst.igp(), kind, node, possible, provenance);
-}
-
-NodeDecision decide(const Instance& inst, const netsim::ShortestPaths& igp,
-                    ProtocolKind kind, NodeId node,
-                    std::span<const bgp::Candidate> possible,
-                    bgp::SelectionProvenance* provenance) {
-  NodeDecision decision;
+void decide(const Instance& inst, const netsim::ShortestPaths& igp, ProtocolKind kind,
+            NodeId node, std::span<const bgp::Candidate> possible, NodeDecision& out,
+            bgp::SelectionProvenance* provenance) {
   const auto& table = inst.exits();
+  out.advertised.clear();
 
   switch (kind) {
     case ProtocolKind::kStandard: {
-      decision.best =
-          bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
-      if (decision.best) decision.advertised.push_back(decision.best->path);
+      out.best = bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
+      if (out.best) out.advertised.push_back(out.best->path);
       break;
     }
     case ProtocolKind::kWalton: {
-      decision.best =
-          bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
-      decision.advertised = walton_advertised(inst, igp, node, possible);
+      out.best = bgp::choose_best(table, igp, node, possible, inst.policy(), provenance);
+      walton_advertised(inst, igp, node, possible, out.best, out.advertised);
       break;
     }
     case ProtocolKind::kModified: {
       // GoodExits = Choose^B(PossibleExits): rules 1-3 over bare paths.
-      std::vector<PathId> ids;
-      ids.reserve(possible.size());
+      auto& ids = scratch().ids;
+      ids.clear();
       for (const auto& candidate : possible) ids.push_back(candidate.path);
-      decision.advertised = bgp::choose_survivors(table, ids, inst.policy());
+      bgp::choose_survivors(table, ids, inst.policy(), out.advertised);
 
       // BestRoute is chosen from GoodExits (Section 6), so restrict the
       // candidate set to the survivors while keeping learnedFrom intact.
-      std::vector<bgp::Candidate> good;
+      auto& good = scratch().candidates;
+      good.clear();
       for (const auto& candidate : possible) {
-        if (std::binary_search(decision.advertised.begin(), decision.advertised.end(),
+        if (std::binary_search(out.advertised.begin(), out.advertised.end(),
                                candidate.path)) {
           good.push_back(candidate);
         }
       }
-      decision.best = bgp::choose_best(table, igp, node, good, inst.policy(), provenance);
+      out.best = bgp::choose_best(table, igp, node, good, inst.policy(), provenance);
       break;
     }
   }
-  return decision;
 }
 
 }  // namespace ibgp::core

@@ -38,7 +38,9 @@ struct NodeDecision {
   std::optional<bgp::RouteView> best;
 };
 
-/// Computes best route + advertised set for `node` under `kind`.
+/// Computes best route + advertised set for `node` under `kind` into the
+/// caller's `out`, pricing candidates with `igp` (the instance's base igp(),
+/// or the engine's current epoch once link faults have churned it).
 ///
 /// `possible` is PossibleExits(node) with the learnedFrom attribution the
 /// engine tracked for each path.  For kModified the best route is chosen
@@ -49,28 +51,22 @@ struct NodeDecision {
 /// call over the GoodExits survivors — rules 1-3 then rarely decide, which
 /// is the point of the fix and exactly what the per-rule breakdown should
 /// show (see EXPERIMENTS.md E17).
-NodeDecision decide(const Instance& inst, ProtocolKind kind, NodeId node,
-                    std::span<const bgp::Candidate> possible,
-                    bgp::SelectionProvenance* provenance = nullptr);
+///
+/// Filtering runs in per-thread scratch and `out` keeps its capacity, so a
+/// caller that reuses one NodeDecision makes no allocation per call once
+/// the buffers have grown.
+void decide(const Instance& inst, const netsim::ShortestPaths& igp, ProtocolKind kind,
+            NodeId node, std::span<const bgp::Candidate> possible, NodeDecision& out,
+            bgp::SelectionProvenance* provenance = nullptr);
 
-/// Same decision against an explicit IGP epoch instead of the instance's
-/// frozen base igp().  Engines modeling IGP churn (link-cost/link-failure
-/// faults) pass their current epoch handle here so selection prices every
-/// candidate with the *current* distances.
-NodeDecision decide(const Instance& inst, const netsim::ShortestPaths& igp,
-                    ProtocolKind kind, NodeId node,
-                    std::span<const bgp::Candidate> possible,
-                    bgp::SelectionProvenance* provenance = nullptr);
-
-/// The Walton advertised set in isolation (exposed for tests): best route
-/// per neighboring AS among `possible`, filtered to those matching the
-/// overall best's LOCAL-PREF and AS-path length.
-std::vector<PathId> walton_advertised(const Instance& inst, NodeId node,
-                                      std::span<const bgp::Candidate> possible);
-
-/// Walton advertised set against an explicit IGP epoch.
-std::vector<PathId> walton_advertised(const Instance& inst,
-                                      const netsim::ShortestPaths& igp, NodeId node,
-                                      std::span<const bgp::Candidate> possible);
+/// The Walton advertised set, written to `out` in ascending order: the best
+/// route per neighboring AS among `possible`, kept when it matches the
+/// LOCAL-PREF and AS-path length of `overall`, Choose_best over all of
+/// `possible` (decide passes the best route it already computed).  Empty
+/// when `overall` is.
+void walton_advertised(const Instance& inst, const netsim::ShortestPaths& igp, NodeId node,
+                       std::span<const bgp::Candidate> possible,
+                       const std::optional<bgp::RouteView>& overall,
+                       std::vector<PathId>& out);
 
 }  // namespace ibgp::core

@@ -663,11 +663,13 @@ std::string Daemon::handle_query(const WireRecord& rec) {
         return error_out(ErrorCode::kRange, "node " + std::to_string(rec.node) + " out of range",
                          nullptr);
       }
-      std::vector<PathId> best;
-      best.reserve(instance_->node_count());
-      for (NodeId v = 0; v < instance_->node_count(); ++v) best.push_back(engine_->best_path(v));
-      const auto trace =
-          analysis::trace_forwarding(*instance_, *engine_->igp_handle(), best, rec.node);
+      path_best_.clear();
+      for (NodeId v = 0; v < instance_->node_count(); ++v) {
+        path_best_.push_back(engine_->best_path(v));
+      }
+      analysis::trace_forwarding(*instance_, *engine_->igp_handle(), path_best_, rec.node,
+                                 path_visited_, path_trace_);
+      const analysis::ForwardTrace& trace = path_trace_;
       json::Object out;
       out.emplace_back("ev", "path");
       out.emplace_back("t", clock_);

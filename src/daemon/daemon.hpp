@@ -29,7 +29,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "analysis/forwarding.hpp"
 #include "core/instance.hpp"
 #include "daemon/wire.hpp"
 #include "engine/event_engine.hpp"
@@ -154,6 +156,12 @@ class Daemon {
 
   int wal_fd_ = -1;
   std::function<util::json::Object()> health_source_;
+
+  // Path-query buffers, reused by every query: each node's best exit path
+  // and the forwarding walk's visited marks and trace.
+  std::vector<PathId> path_best_;
+  std::vector<bool> path_visited_;
+  analysis::ForwardTrace path_trace_;
 
   // Always-on service span sinks (resolved once in the constructor): the
   // daemon's hot path is I/O bound, so these are not gated like the

@@ -441,10 +441,10 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // fault the same candidate set can pick a different exit purely because
   // the distances moved.
   bgp::SelectionProvenance provenance;
-  const auto decision = [&] {
+  {
     const obs::Span span(profile_.live_decision);
-    return core::decide(*inst_, *igp_, protocol_, u, candidates, &provenance);
-  }();
+    core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
+  }
   if (provenance.selected) {
     ++decisions_total_;
     ++decisions_by_rule_[rule_index(provenance.decisive)];
@@ -454,7 +454,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
-  const PathId new_best = decision.best ? decision.best->path : kNoPath;
+  const PathId new_best = decision_.best ? decision_.best->path : kNoPath;
   if (old_best != new_best) {
     ++best_flips_;
     ++flips_by_node_[u];
@@ -475,7 +475,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
     trace_->emit(now, "decision", std::move(fields));
   }
-  node.best = decision.best;
+  node.best = decision_.best;
   // reconsider only runs on control-plane-up nodes, so the FIB tracks the
   // best route here.  A FIB frozen by graceful restart stays on its
   // pre-restart entry through the post-restart resync (when best is
@@ -492,7 +492,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // One export verdict per advertised path (both lists ascend by path).
   verdicts_.clear();
   std::size_t c = 0;
-  for (const PathId p : decision.advertised) {
+  for (const PathId p : decision_.advertised) {
     while (c < candidates.size() && candidates[c].path < p) ++c;
     const NodeId source =
         c < candidates.size() && candidates[c].path == p ? sources_[c] : kNoNode;

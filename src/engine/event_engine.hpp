@@ -741,6 +741,7 @@ class EventEngine {
   // Working buffers of reconsider(), kept to reuse their capacity.
   std::vector<bgp::Candidate> candidates_;
   std::vector<NodeId> sources_;  // attributed holder per candidate
+  core::NodeDecision decision_;
   std::vector<ExportVerdict> verdicts_;
   std::vector<PathId> target_;
   std::vector<bool> node_up_;

@@ -55,7 +55,8 @@ SyncEngine::NodeState SyncEngine::recompute(NodeId u) const {
   for (PathId p = 0; p < learned.size(); ++p) {
     if (learned[p] != kUnset) state.possible.push_back({p, learned[p]});
   }
-  auto decision = core::decide(*inst_, node_protocol_[u], u, state.possible);
+  core::NodeDecision decision;
+  core::decide(*inst_, inst_->igp(), node_protocol_[u], u, state.possible, decision);
   state.best = decision.best;
   state.advertised = std::move(decision.advertised);
   return state;

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "analysis/determinism.hpp"
 #include "analysis/finder.hpp"
@@ -154,7 +156,9 @@ TEST(Forwarding, TraceRendering) {
   const auto inst = topo::fig14();
   auto rr = engine::make_round_robin(inst.node_count());
   const auto outcome = engine::run_protocol(inst, ProtocolKind::kStandard, *rr);
-  const auto trace = trace_forwarding(inst, outcome.final_best, inst.find_node("c1"));
+  std::vector<bool> visited;
+  ForwardTrace trace;
+  trace_forwarding(inst, inst.igp(), outcome.final_best, inst.find_node("c1"), visited, trace);
   const auto text = describe_trace(inst, trace);
   EXPECT_NE(text.find("LOOP"), std::string::npos);
   EXPECT_NE(text.find("c1"), std::string::npos);
@@ -176,11 +180,41 @@ TEST(Forwarding, IntermediateNodeDivertsViaOwnExit) {
   best[inst.find_node("u")] = inst.exits().find_by_name("far");
   best[inst.find_node("w")] = inst.exits().find_by_name("mid");
   best[inst.find_node("x")] = inst.exits().find_by_name("far");
-  const auto trace = trace_forwarding(inst, best, inst.find_node("u"));
+  std::vector<bool> visited;
+  ForwardTrace trace;
+  trace_forwarding(inst, inst.igp(), best, inst.find_node("u"), visited, trace);
   EXPECT_EQ(trace.outcome, ForwardOutcome::kExits);
   EXPECT_EQ(trace.exit_node, inst.find_node("w"))
       << "packet must leave at w's exit, not reach x";
   EXPECT_EQ(trace.exit_path, inst.exits().find_by_name("mid"));
+}
+
+TEST(Forwarding, RejectsBestRoutesMissingANode) {
+  const auto inst = topo::fig14();
+  const std::vector<PathId> best(inst.node_count() - 1, kNoPath);
+  std::vector<bool> visited;
+  ForwardTrace trace;
+  EXPECT_THROW(trace_forwarding(inst, inst.igp(), best, 0, visited, trace),
+               std::invalid_argument);
+  EXPECT_THROW(trace_forwarding(inst, inst.igp(), {}, 0, visited, trace),
+               std::invalid_argument);
+  EXPECT_THROW((void)analyze_forwarding(inst, best), std::invalid_argument);
+}
+
+TEST(Forwarding, RejectsASourceOutsideTheInstance) {
+  const auto inst = topo::fig14();
+  const std::vector<PathId> best(inst.node_count(), kNoPath);
+  std::vector<bool> visited;
+  ForwardTrace trace;
+  const auto n = static_cast<NodeId>(inst.node_count());
+  EXPECT_THROW(trace_forwarding(inst, inst.igp(), best, n, visited, trace),
+               std::invalid_argument);
+  EXPECT_THROW(trace_forwarding(inst, inst.igp(), best, kNoNode, visited, trace),
+               std::invalid_argument);
+  // The buffers stay usable: the next valid walk starts from clear marks.
+  trace_forwarding(inst, inst.igp(), best, n - 1, visited, trace);
+  EXPECT_EQ(trace.outcome, ForwardOutcome::kNoRoute);
+  EXPECT_EQ(trace.hops, (std::vector<NodeId>{n - 1}));
 }
 
 // --- determinism --------------------------------------------------------------------

@@ -203,13 +203,24 @@ TEST(Levels, Lemma73OnRandomInstances) {
 
 // --- policies -------------------------------------------------------------------
 
+/// walton_advertised against the base IGP, fed the overall best route.
+std::vector<PathId> walton_set(const Instance& inst, NodeId node,
+                               std::span<const bgp::Candidate> possible) {
+  const auto overall =
+      bgp::choose_best(inst.exits(), inst.igp(), node, possible, inst.policy());
+  std::vector<PathId> advertised;
+  walton_advertised(inst, inst.igp(), node, possible, overall, advertised);
+  return advertised;
+}
+
 TEST(Policy, StandardAdvertisesExactlyBest) {
   const auto inst = topo::fig1a();
   const PathId r1 = inst.exits().find_by_name("r1");
   const PathId r2 = inst.exits().find_by_name("r2");
   const NodeId a = inst.find_node("A");
   const std::vector<bgp::Candidate> possible{{r1, 1}, {r2, 2}};
-  const auto decision = decide(inst, ProtocolKind::kStandard, a, possible);
+  NodeDecision decision;
+  decide(inst, inst.igp(), ProtocolKind::kStandard, a, possible, decision);
   ASSERT_TRUE(decision.best);
   EXPECT_EQ(decision.best->path, r2);  // metric 4 < 5
   EXPECT_EQ(decision.advertised, (std::vector<PathId>{r2}));
@@ -222,7 +233,8 @@ TEST(Policy, ModifiedAdvertisesMedSurvivorsAndPicksFromThem) {
   const PathId r3 = inst.exits().find_by_name("r3");
   const NodeId a = inst.find_node("A");
   const std::vector<bgp::Candidate> possible{{r1, 1}, {r2, 2}, {r3, 3}};
-  const auto decision = decide(inst, ProtocolKind::kModified, a, possible);
+  NodeDecision decision;
+  decide(inst, inst.igp(), ProtocolKind::kModified, a, possible, decision);
   // GoodExits: r2 MED-eliminated by r3; r1 and r3 survive.
   EXPECT_EQ(decision.advertised, (std::vector<PathId>{r1, r3}));
   ASSERT_TRUE(decision.best);
@@ -237,7 +249,8 @@ TEST(Policy, ModifiedBestIgnoresNonSurvivors) {
   const PathId r3 = inst.exits().find_by_name("r3");
   const NodeId a = inst.find_node("A");
   const std::vector<bgp::Candidate> possible{{r2, 2}, {r3, 3}};
-  const auto decision = decide(inst, ProtocolKind::kModified, a, possible);
+  NodeDecision decision;
+  decide(inst, inst.igp(), ProtocolKind::kModified, a, possible, decision);
   ASSERT_TRUE(decision.best);
   EXPECT_EQ(decision.best->path, r3);
   EXPECT_EQ(decision.advertised, (std::vector<PathId>{r3}));
@@ -250,7 +263,7 @@ TEST(Policy, WaltonAdvertisesBestPerAs) {
   const PathId r3 = inst.exits().find_by_name("r3");
   const NodeId a = inst.find_node("A");
   const std::vector<bgp::Candidate> possible{{r1, 1}, {r2, 2}, {r3, 3}};
-  const auto advertised = walton_advertised(inst, a, possible);
+  const auto advertised = walton_set(inst, a, possible);
   // AS1 best = r1; AS2 best = r3 (MED).  r2 is hidden.
   EXPECT_EQ(advertised, (std::vector<PathId>{r1, r3}));
 }
@@ -266,7 +279,7 @@ TEST(Policy, WaltonFiltersByLocalPrefAndLength) {
   const PathId good = inst.exits().find_by_name("good");
   const PathId weak = inst.exits().find_by_name("weak");
   const std::vector<bgp::Candidate> possible{{good, 1}, {weak, 2}};
-  const auto advertised = walton_advertised(inst, inst.find_node("R"), possible);
+  const auto advertised = walton_set(inst, inst.find_node("R"), possible);
   // weak is AS2's best but has lower LOCAL-PREF than the overall best.
   EXPECT_EQ(advertised, (std::vector<PathId>{good}));
   (void)weak;
@@ -276,7 +289,8 @@ TEST(Policy, EmptyPossibleGivesEmptyDecision) {
   const auto inst = topo::fig1a();
   for (const auto kind :
        {ProtocolKind::kStandard, ProtocolKind::kWalton, ProtocolKind::kModified}) {
-    const auto decision = decide(inst, kind, 0, {});
+    NodeDecision decision{{0}, bgp::RouteView{}};  // stale contents are overwritten
+    decide(inst, inst.igp(), kind, 0, {}, decision);
     EXPECT_FALSE(decision.best);
     EXPECT_TRUE(decision.advertised.empty());
   }

@@ -103,9 +103,10 @@ fault::FaultScript full_fault_script(const core::Instance& inst, std::uint64_t s
   for (NodeId u = 0; u < inst.node_count(); ++u) {
     if (!state.node_up[u]) continue;
     const auto& node = state.nodes[u];
-    const auto advertised = core::decide(inst, engine.igp(), variant.protocol, u,
-                                         reference::candidates(inst, node))
-                                .advertised;
+    core::NodeDecision decision;
+    core::decide(inst, engine.igp(), variant.protocol, u, reference::candidates(inst, node),
+                 decision);
+    const auto& advertised = decision.advertised;
     const auto peers = inst.sessions().peers(u);
     for (std::size_t i = 0; i < peers.size(); ++i) {
       const auto target = reference::export_target(inst, node, u, peers[i], advertised);

@@ -49,6 +49,12 @@ struct Fixture {
     if (!igp) finalize();
     return choose_best(table, *igp, at, candidates, policy);
   }
+
+  std::vector<PathId> survivors(std::vector<PathId> paths) const {
+    std::vector<PathId> out;
+    choose_survivors(table, paths, {}, out);
+    return out;
+  }
 };
 
 // --- rule 1: LOCAL-PREF ------------------------------------------------------
@@ -129,7 +135,7 @@ TEST(Selection, Rule3MinimumPerGroupSurvives) {
   const auto a0 = f.add(1, 1, 3);
   const auto a1 = f.add(2, 1, 1);  // min of AS1
   const auto b0 = f.add(3, 2, 7);  // alone in AS2, survives with any MED
-  const auto survivors = choose_survivors(f.table, std::vector<PathId>{a0, a1, b0});
+  const auto survivors = f.survivors({a0, a1, b0});
   EXPECT_EQ(survivors, (std::vector<PathId>{a1, b0}));
 }
 
@@ -231,13 +237,13 @@ TEST(Selection, ChooseSurvivorsIsNodeIndependent) {
   const auto a = f.add(1, 1, 2);
   const auto b = f.add(3, 1, 1);
   const auto c = f.add(2, 2, 9);
-  const auto survivors = choose_survivors(f.table, std::vector<PathId>{a, b, c});
+  const auto survivors = f.survivors({a, b, c});
   EXPECT_EQ(survivors, (std::vector<PathId>{b, c}));
 }
 
 TEST(Selection, ChooseSurvivorsEmptyInput) {
   Fixture f;
-  EXPECT_TRUE(choose_survivors(f.table, std::vector<PathId>{}).empty());
+  EXPECT_TRUE(f.survivors({}).empty());
 }
 
 TEST(Selection, ExplanationRecordsStages) {
