@@ -13,15 +13,26 @@
 // byte-identical Result, trace hash, and decision-provenance histogram to
 // the uninterrupted run.
 //
+// The codec maps the engine's own types: queue entries are engine::Event
+// tuples, node objects are engine::NodeState, and the "counters" block is
+// written and read as one loop over engine::kEngineCounters (whose `ckpt`
+// names keep v1's "eor_sent" and "igp_swaps"; faults_applied is not stored
+// and comes back as the fault log's length).  Session state is the dense
+// node×node form v1 has always stored.
+//
 // Versioning & compatibility: the "schema" field is checked exactly —
 // parse_engine_state refuses anything but "ibgp-ckpt-v1" (forward
 // compatibility is deliberately not attempted: a checkpoint encodes private
 // engine invariants, so a version bump means the format changed shape).
 // Within v1, unknown keys are ignored on read (additive evolution without a
-// bump) but every v1 key is required; a truncated or hand-edited file fails
-// with a diagnostic naming the missing/ill-typed field, never with silent
-// state corruption.  The identity header (instance, protocol, node/path/
-// link counts) must match the restoring engine exactly.
+// bump) and key order is free, but every v1 key is required; a truncated
+// or hand-edited file fails with a diagnostic naming the missing/ill-typed
+// field.  Decoding checks only shape; EventEngine::restore then checks the
+// identity header (instance, protocol, node/path/link counts) and every
+// node, path, session and link id against the restoring engine's instance,
+// so a corrupt file is refused, never run with silent state corruption.
+// tests/data/ckpt_v1_fig1a_golden.json, written by an earlier build, pins
+// that older v1 files still load and resume.
 //
 // Files are written via write-to-temp-then-rename (util::json::
 // write_file_atomic), so a reader — including a resume after SIGKILL —

@@ -1,7 +1,6 @@
 #include "daemon/daemon.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,10 +17,12 @@
 #include "core/policy.hpp"
 #include "fault/campaign.hpp"
 #include "obs/span.hpp"
+#include "util/fileio.hpp"
 #include "util/hash.hpp"
 
 namespace ibgp::daemon {
 
+namespace fileio = util::fileio;
 namespace json = util::json;
 
 namespace {
@@ -59,46 +60,6 @@ void register_daemon_metrics(obs::MetricsRegistry& registry) {
 }
 
 namespace {
-
-// POSIX write helpers shared by the WAL path.  The journal is the one
-// durability-critical artifact the daemon writes on the hot path, so it
-// uses raw fds with explicit EINTR handling and fsync — stdio buffering
-// would reorder the "journal before apply" contract.
-bool write_all_fd(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t got = ::write(fd, data + done, size - done);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-int open_retry_fd(const char* path, int flags, mode_t mode = 0) {
-  int fd = -1;
-  do {
-    fd = ::open(path, flags, mode);
-  } while (fd < 0 && errno == EINTR);
-  return fd;
-}
-
-bool fsync_retry_fd(int fd) {
-  int rc = -1;
-  do {
-    rc = ::fsync(fd);
-  } while (rc < 0 && errno == EINTR);
-  return rc == 0;
-}
-
-void fsync_dir(const std::string& dir) {
-  const int fd = open_retry_fd(dir.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  fsync_retry_fd(fd);
-  ::close(fd);
-}
 
 const char* outcome_name(analysis::ForwardOutcome outcome) {
   switch (outcome) {
@@ -226,24 +187,14 @@ bool Daemon::wal_reset() {
     wal_fd_ = -1;
   }
   const std::string path = wal_path();
-  const std::string tmp = path + ".tmp";
-  const int fd = open_retry_fd(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
   json::Object header;
   header.emplace_back("ev", "wal");
   header.emplace_back("schema", kWalSchema);
   header.emplace_back("instance", instance_->name());
   header.emplace_back("protocol", core::protocol_name(protocol_));
   const std::string line = json::Value(std::move(header)).dump_compact() + "\n";
-  bool ok = write_all_fd(fd, line.data(), line.size());
-  ok = fsync_retry_fd(fd) && ok;
-  ok = (::close(fd) == 0) && ok;
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  fsync_dir(options_.state_dir);
-  wal_fd_ = open_retry_fd(path.c_str(), O_WRONLY | O_APPEND);
+  if (!fileio::write_file_atomic(path, line)) return false;
+  wal_fd_ = fileio::open_retry(path, O_WRONLY | O_APPEND);
   return wal_fd_ >= 0;
 }
 
@@ -251,11 +202,11 @@ bool Daemon::wal_append(std::string_view line) {
   if (wal_fd_ < 0) return false;
   std::string buf(line);
   buf += '\n';
-  if (!write_all_fd(wal_fd_, buf.data(), buf.size())) return false;
+  if (!fileio::write_all(wal_fd_, buf)) return false;
   // fsync BEFORE apply/ack: an acknowledged record is durable by contract.
   // The span measures exactly the durability cost paid per accepted record.
   const obs::Span span(wal_fsync_ns_);
-  return fsync_retry_fd(wal_fd_);
+  return fileio::fsync_retry(wal_fd_);
 }
 
 // --- checkpoint -------------------------------------------------------------
@@ -326,17 +277,17 @@ void Daemon::recover() {
   // normal ingest path.  Records at or below the checkpoint's applied_seq
   // hit the exactly-once dedupe and are skipped; a torn final line is the
   // append a SIGKILL interrupted — its sender never got an ack — so it is
-  // truncated away.
+  // truncated away.  Only a missing journal reads as empty: a read error
+  // must not pass a prefix off as the whole journal, whose tail would then
+  // be truncated away with acknowledged records in it.
   const std::string path = wal_path();
   std::string text;
-  {
-    const int fd = open_retry_fd(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      char buf[65536];
-      ssize_t got = 0;
-      while ((got = ::read(fd, buf, sizeof buf)) > 0) text.append(buf, static_cast<std::size_t>(got));
-      ::close(fd);
-    }
+  if (const int fd = fileio::open_retry(path, O_RDONLY); fd >= 0) {
+    const bool read = fileio::read_all(fd, text);
+    ::close(fd);
+    if (!read) throw std::runtime_error("Daemon: cannot read journal");
+  } else if (errno != ENOENT) {
+    throw std::runtime_error("Daemon: cannot read journal");
   }
   std::size_t valid_end = 0;
   std::vector<std::string_view> lines;
@@ -376,7 +327,7 @@ void Daemon::recover() {
       throw std::runtime_error("Daemon: cannot truncate torn journal tail");
     }
   }
-  wal_fd_ = open_retry_fd(path.c_str(), O_WRONLY | O_APPEND);
+  wal_fd_ = fileio::open_retry(path, O_WRONLY | O_APPEND);
   if (wal_fd_ < 0) throw std::runtime_error("Daemon: cannot reopen journal");
 }
 

@@ -35,6 +35,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       link_state_(inst.physical()),
       igp_(inst.igp_handle()),
       nodes_(inst.node_count()),
+      export_(inst.node_count()),
       session_base_(inst.node_count() + 1, 0),
       node_up_(inst.node_count(), true),
       graceful_down_(inst.node_count(), false),
@@ -42,8 +43,8 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       fib_(inst.node_count(), kNoPath),
       fib_frozen_(inst.node_count(), false),
       ebgp_live_(inst.exits().size(), false),
-      decisions_by_node_(inst.node_count()),
       flips_by_node_(inst.node_count(), 0) {
+  counters_.decisions_by_node.resize(inst.node_count());
   const std::size_t paths = inst.exits().size();
   const auto& clusters = inst.clusters();
   for (NodeId v = 0; v < nodes_.size(); ++v) {
@@ -69,27 +70,25 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
   }
 }
 
-void EventEngine::set_mrai(SimTime interval) {
+void EventEngine::require_unsealed(const char* setter) const {
   if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_mrai: must be called before any event is scheduled");
+    throw std::logic_error(std::string("EventEngine::") + setter +
+                           ": must be called before any event is scheduled");
   }
+}
+
+void EventEngine::set_mrai(SimTime interval) {
+  require_unsealed("set_mrai");
   mrai_ = interval;
 }
 
 void EventEngine::set_fault_injector(FaultInjector* injector) {
-  if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_fault_injector: must be called before any event is scheduled");
-  }
+  require_unsealed("set_fault_injector");
   injector_ = injector;
 }
 
 void EventEngine::set_stale_timer(SimTime ticks) {
-  if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_stale_timer: must be called before any event is scheduled");
-  }
+  require_unsealed("set_stale_timer");
   stale_timer_ = ticks;
 }
 
@@ -104,20 +103,7 @@ std::string rule_metric_name(std::size_t rule) {
 
 void register_event_engine_metrics(obs::MetricsRegistry& registry) {
   registry.counter("engine.deliveries");
-  registry.counter("engine.updates_sent");
-  registry.counter("engine.deliveries_voided");
-  registry.counter("engine.messages_dropped");
-  registry.counter("engine.messages_duplicated");
-  registry.counter("engine.best_flips");
-  registry.counter("engine.mrai_deferrals");
-  registry.counter("engine.faults_applied");
-  registry.counter("engine.eor_markers_sent");
-  registry.counter("engine.stale_retained");
-  registry.counter("engine.stale_swept_eor");
-  registry.counter("engine.stale_swept_expired");
-  registry.counter("engine.igp_epoch_swaps");
-  registry.counter("engine.decisions");
-  registry.counter("engine.decisions_empty");
+  for (const CounterField& field : kEngineCounters) registry.counter(field.metric);
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
     registry.counter(rule_metric_name(rule));
   }
@@ -129,30 +115,16 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
 }
 
 void EventEngine::set_metrics(obs::MetricsRegistry* registry) {
-  if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_metrics: must be called before any event is scheduled");
-  }
+  require_unsealed("set_metrics");
   metrics_ = registry;
   handles_ = MetricHandles{};
   profile_ = ProfileHandles{};  // re-enable via set_profile after this call
   if (registry == nullptr) return;
   register_event_engine_metrics(*registry);
   handles_.deliveries = &registry->counter("engine.deliveries");
-  handles_.updates_sent = &registry->counter("engine.updates_sent");
-  handles_.deliveries_voided = &registry->counter("engine.deliveries_voided");
-  handles_.messages_dropped = &registry->counter("engine.messages_dropped");
-  handles_.messages_duplicated = &registry->counter("engine.messages_duplicated");
-  handles_.best_flips = &registry->counter("engine.best_flips");
-  handles_.mrai_deferrals = &registry->counter("engine.mrai_deferrals");
-  handles_.faults_applied = &registry->counter("engine.faults_applied");
-  handles_.eor_markers_sent = &registry->counter("engine.eor_markers_sent");
-  handles_.stale_retained = &registry->counter("engine.stale_retained");
-  handles_.stale_swept_eor = &registry->counter("engine.stale_swept_eor");
-  handles_.stale_swept_expired = &registry->counter("engine.stale_swept_expired");
-  handles_.igp_epoch_swaps = &registry->counter("engine.igp_epoch_swaps");
-  handles_.decisions = &registry->counter("engine.decisions");
-  handles_.decisions_empty = &registry->counter("engine.decisions_empty");
+  for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
+    handles_.counters[i] = &registry->counter(kEngineCounters[i].metric);
+  }
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
     handles_.decided[rule] = &registry->counter(rule_metric_name(rule));
   }
@@ -160,10 +132,7 @@ void EventEngine::set_metrics(obs::MetricsRegistry* registry) {
 }
 
 void EventEngine::set_profile(bool enabled) {
-  if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_profile: must be called before any event is scheduled");
-  }
+  require_unsealed("set_profile");
   profile_ = ProfileHandles{};
   if (!enabled || metrics_ == nullptr) return;
   profile_.delivery = &obs::span_histogram(*metrics_, "engine.span.delivery_ns");
@@ -172,10 +141,7 @@ void EventEngine::set_profile(bool enabled) {
 }
 
 void EventEngine::set_trace(obs::TraceSink* trace) {
-  if (sealed_) {
-    throw std::logic_error(
-        "EventEngine::set_trace: must be called before any event is scheduled");
-  }
+  require_unsealed("set_trace");
   trace_ = trace;
   if (tracing()) emit_trace_preamble();
 }
@@ -226,13 +192,8 @@ std::span<const PathId> EventEngine::advertised_to(NodeId from, NodeId to) const
 
 void EventEngine::inject_exit(PathId p, SimTime when) {
   sealed_ = true;
-  Event event;
-  event.time = when;
-  event.seq = next_seq_++;
-  event.kind = EventKind::kEbgpAnnounce;
-  event.to = inst_->exits()[p].exit_point;
-  event.path = p;
-  queue_.push(event);
+  queue_.push({.time = when, .seq = next_seq_++, .kind = EventKind::kEbgpAnnounce,
+               .to = inst_->exits()[p].exit_point, .path = p});
 }
 
 void EventEngine::inject_all_exits(SimTime when) {
@@ -241,29 +202,17 @@ void EventEngine::inject_all_exits(SimTime when) {
 
 void EventEngine::withdraw_exit(PathId p, SimTime when) {
   sealed_ = true;
-  Event event;
-  event.time = when;
-  event.seq = next_seq_++;
-  event.kind = EventKind::kEbgpWithdraw;
-  event.to = inst_->exits()[p].exit_point;
-  event.path = p;
-  queue_.push(event);
+  queue_.push({.time = when, .seq = next_seq_++, .kind = EventKind::kEbgpWithdraw,
+               .to = inst_->exits()[p].exit_point, .path = p});
 }
 
 void EventEngine::push_fault(EventKind kind, NodeId a, NodeId b, SimTime when,
                              Cost cost) {
   sealed_ = true;
-  Event event;
-  event.time = when;
-  event.seq = next_seq_++;
   // Script-time faults are lineage roots; repair faults scheduled from a
   // FaultInjector::on_drop mid-delivery inherit the dropped message's cause.
-  event.pid = cause_;
-  event.kind = kind;
-  event.from = a;
-  event.to = b;
-  event.cost = cost;
-  queue_.push(event);
+  queue_.push({.time = when, .seq = next_seq_++, .pid = cause_, .kind = kind, .from = a,
+               .to = b, .cost = cost});
 }
 
 void EventEngine::schedule_session_down(NodeId u, NodeId v, SimTime when) {
@@ -371,42 +320,34 @@ EventEngine::ExportVerdict EventEngine::export_verdict(NodeId u, PathId p,
 
 void EventEngine::push_update(NodeId from, NodeId to, SessionSlot& slot, PathId path,
                               bool announce, SimTime now, std::uint64_t msg_seq) {
-  Event event;
-  event.kind = EventKind::kUpdate;
-  event.from = from;
-  event.to = to;
-  event.path = path;
-  event.announce = announce;
-  event.seq = next_seq_++;
-  event.pid = cause_;  // the delivery being processed caused this send
-  event.epoch = slot.epoch;
-  const SimTime requested = now + delay_(from, to, msg_seq);
   // FIFO per directed session: never deliver before an earlier message on
   // the same session.
-  event.time = std::max(requested, slot.last_delivery);
-  slot.last_delivery = event.time;
-  queue_.push(event);
+  slot.last_delivery = std::max(now + delay_(from, to, msg_seq), slot.last_delivery);
+  queue_.push({.time = slot.last_delivery, .seq = next_seq_++,
+               .pid = cause_,  // the delivery being processed caused this send
+               .kind = EventKind::kUpdate, .from = from, .to = to, .path = path,
+               .announce = announce, .epoch = slot.epoch});
 }
 
 void EventEngine::enqueue_update(NodeId from, std::size_t peer_index, PathId path,
                                  bool announce, SimTime now) {
   const NodeId to = inst_->sessions().peers(from)[peer_index];
   const std::uint64_t msg_seq = session_msg_seq_++;
-  ++updates_sent_;
+  ++counters_.updates_sent;
   MessageFate fate = MessageFate::kDeliver;
   if (injector_) fate = injector_->classify(from, to, msg_seq);
   if (fate == MessageFate::kDrop) {
     // The sender still believes the message went out (advertised_out was
     // already updated); the receiver's RIB silently diverges until a repair
     // — exactly the perturbation the invariant checker hunts.
-    ++messages_dropped_;
+    ++counters_.messages_dropped;
     injector_->on_drop(*this, from, to, now);
     return;
   }
   push_update(from, to, slot(from, peer_index), path, announce, now, msg_seq);
   if (fate == MessageFate::kDuplicate) {
-    ++messages_duplicated_;
-    ++updates_sent_;
+    ++counters_.messages_duplicated;
+    ++counters_.updates_sent;
     push_update(from, to, slot(from, peer_index), path, announce, now, session_msg_seq_++);
   }
 }
@@ -446,17 +387,17 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
   }
   if (provenance.selected) {
-    ++decisions_total_;
-    ++decisions_by_rule_[rule_index(provenance.decisive)];
-    ++decisions_by_node_[u][rule_index(provenance.decisive)];
+    ++counters_.decisions_total;
+    ++counters_.decisions_by_rule[rule_index(provenance.decisive)];
+    ++counters_.decisions_by_node[u][rule_index(provenance.decisive)];
   } else {
-    ++decisions_empty_;
+    ++counters_.decisions_empty;
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
   const PathId new_best = decision_.best ? decision_.best->path : kNoPath;
   if (old_best != new_best) {
-    ++best_flips_;
+    ++counters_.best_flips;
     ++flips_by_node_[u];
     flap_log_.push_back({now, u, old_best, new_best});
   }
@@ -506,9 +447,10 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // sync_peer: each call inside a hold-down counts as a deferral, whether
   // or not the peer's set changed.
   const bool batching = mrai_ > 0;
-  if (!batching && !node.resync && verdicts_ == node.verdicts) return;
-  node.verdicts.swap(verdicts_);
-  node.resync = false;  // sync_peer sets it again on a down session
+  ExportCache& cache = export_[u];
+  if (!batching && !cache.resync && verdicts_ == cache.verdicts) return;
+  cache.verdicts.swap(verdicts_);
+  cache.resync = false;  // sync_peer sets it again on a down session
 
   // Per-peer target sets; UPDATE diffs flow immediately, or — with an MRAI
   // configured — as batched net diffs at the next permitted send time.
@@ -517,7 +459,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     const NodeId peer = peers[i];
     const std::uint8_t peer_class = slot(u, i).peer_class;
     target_.clear();
-    for (const ExportVerdict& verdict : node.verdicts) {
+    for (const ExportVerdict& verdict : cache.verdicts) {
       if ((verdict.classes & peer_class) != 0 && peer != verdict.exit_point &&
           peer != verdict.source) {
         target_.push_back(verdict.path);
@@ -536,27 +478,22 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
   NodeState& node = nodes_[u];
   const NodeId peer = inst_->sessions().peers(u)[peer_index];
   if (!session_up(u, peer)) {
-    node.resync = true;  // nothing flows on a downed session: out of sync
+    export_[u].resync = true;  // nothing flows on a downed session: out of sync
     return;
   }
   if (mrai_ > 0 && now < node.mrai_ready[peer_index]) {
     // Inside the hold-down window: batch the change into one deferred flush.
-    ++mrai_deferrals_;
+    ++counters_.mrai_deferrals;
     if (!node.flush_scheduled[peer_index]) {
       node.flush_scheduled[peer_index] = true;
-      Event event;
-      event.kind = EventKind::kMraiFlush;
-      event.from = u;
-      event.to = peer;
-      event.time = node.mrai_ready[peer_index];
-      event.seq = next_seq_++;
-      event.pid = cause_;  // the deferral-triggering delivery is the cause
       // Stamped with the session epoch so a flush scheduled before a session
       // reset is voided instead of leaking a stale hold-down advertisement
       // into the re-established session (whose resync already replayed the
       // full table).
-      event.epoch = slot(u, peer_index).epoch;
-      queue_.push(event);
+      queue_.push({.time = node.mrai_ready[peer_index], .seq = next_seq_++,
+                   .pid = cause_,  // the deferral-triggering delivery is the cause
+                   .kind = EventKind::kMraiFlush, .from = u, .to = peer,
+                   .epoch = slot(u, peer_index).epoch});
     }
     return;
   }
@@ -582,6 +519,7 @@ void EventEngine::sync_peer(NodeId u, std::size_t peer_index, SimTime now) {
 
 void EventEngine::record_fault(const FaultRecord& record) {
   fault_log_.push_back(record);
+  ++counters_.faults_applied;
   if (tracing()) {
     util::json::Object fields;
     fields.emplace_back("kind", fault_kind_name(record.kind));
@@ -599,18 +537,19 @@ void EventEngine::record_fault(const FaultRecord& record) {
 void EventEngine::record_best_loss(NodeId v, SimTime now) {
   NodeState& node = nodes_[v];
   if (!node.best) return;
-  ++best_flips_;
+  ++counters_.best_flips;
   ++flips_by_node_[v];
   flap_log_.push_back({now, v, node.best->path, kNoPath});
   node.best.reset();
 }
 
-void EventEngine::clear_send_state(NodeState& node, std::size_t peer_index) {
+void EventEngine::clear_send_state(NodeId u, std::size_t peer_index) {
+  NodeState& node = nodes_[u];
   node.advertised_out[peer_index].clear();
   node.desired_out[peer_index].clear();
   node.mrai_ready[peer_index] = 0;
   node.flush_scheduled[peer_index] = false;  // a pending flush event fires as a no-op
-  node.resync = true;  // the cleared sets no longer match the verdicts
+  export_[u].resync = true;  // the cleared sets no longer match the verdicts
 }
 
 void EventEngine::reset_session(NodeId u, NodeId v) {
@@ -624,8 +563,8 @@ void EventEngine::reset_session(NodeId u, NodeId v) {
 }
 
 void EventEngine::flush_endpoint(NodeId u, NodeId peer) {
+  clear_send_state(u, peer_index(u, peer));
   NodeState& node = nodes_[u];
-  clear_send_state(node, peer_index(u, peer));
   for (auto& holders : node.holders) {
     const auto it = std::lower_bound(holders.begin(), holders.end(), peer);
     if (it != holders.end() && *it == peer) holders.erase(it);
@@ -644,7 +583,7 @@ void EventEngine::detach_session_graceful(NodeId v, NodeId w) {
   flush_endpoint(v, w);
   NodeState& wn = nodes_[w];
   // w must replay its full table on re-establishment (v remembers nothing).
-  clear_send_state(wn, peer_index(w, v));
+  clear_send_state(w, peer_index(w, v));
   for (PathId p = 0; p < wn.holders.size(); ++p) {
     const auto& holders = wn.holders[p];
     if (!std::binary_search(holders.begin(), holders.end(), v)) continue;
@@ -652,7 +591,7 @@ void EventEngine::detach_session_graceful(NodeId v, NodeId w) {
     const auto it = std::lower_bound(stale.begin(), stale.end(), v);
     if (it == stale.end() || *it != v) {
       stale.insert(it, v);
-      ++stale_retained_;
+      ++counters_.stale_retained;
     }
   }
 }
@@ -684,19 +623,13 @@ void EventEngine::send_end_of_rib(NodeId v, NodeId w, SimTime now) {
   // after the initial-table replay) but bypasses the FaultInjector: loss is
   // already modeled by the injector's session-reset repair, which flushes
   // stale state wholesale.
-  Event event;
-  event.kind = EventKind::kEndOfRib;
-  event.from = v;
-  event.to = w;
-  event.seq = next_seq_++;
-  event.pid = cause_;  // caused by the restart delivery that replayed the table
   SessionSlot& session = slot_to(v, w);
-  event.epoch = session.epoch;
-  const SimTime requested = now + delay_(v, w, session_msg_seq_++);
-  event.time = std::max(requested, session.last_delivery);
-  session.last_delivery = event.time;
-  queue_.push(event);
-  ++eor_sent_;
+  session.last_delivery =
+      std::max(now + delay_(v, w, session_msg_seq_++), session.last_delivery);
+  queue_.push({.time = session.last_delivery, .seq = next_seq_++,
+               .pid = cause_,  // caused by the restart delivery that replayed the table
+               .kind = EventKind::kEndOfRib, .from = v, .to = w, .epoch = session.epoch});
+  ++counters_.eor_markers_sent;
 }
 
 void EventEngine::sever_session(NodeId u, NodeId v) {
@@ -755,7 +688,7 @@ void EventEngine::apply_crash(NodeId v, SimTime now) {
   record_best_loss(v, now);
   fib_frozen_[v] = false;
   set_fib(v, kNoPath, now);
-  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) clear_send_state(node, i);
+  for (std::size_t i = 0; i < node.advertised_out.size(); ++i) clear_send_state(v, i);
   for (const NodeId w : peers) {
     if (node_up_[w]) reconsider(w, now);
   }
@@ -802,14 +735,9 @@ void EventEngine::apply_graceful_down(NodeId v, SimTime now) {
   record_best_loss(v, now);
   fib_frozen_[v] = true;
   if (stale_timer_ > 0) {
-    Event event;
-    event.time = now + stale_timer_;
-    event.seq = next_seq_++;
-    event.pid = cause_;  // armed by the graceful-down delivery
-    event.kind = EventKind::kStaleExpire;
-    event.from = v;
-    event.epoch = gr_generation_[v];
-    queue_.push(event);
+    queue_.push({.time = now + stale_timer_, .seq = next_seq_++,
+                 .pid = cause_,  // armed by the graceful-down delivery
+                 .kind = EventKind::kStaleExpire, .from = v, .epoch = gr_generation_[v]});
   }
   // Peers do NOT reconsider: their candidate sets are unchanged by design —
   // that is exactly the continuity graceful restart buys.
@@ -827,12 +755,12 @@ void EventEngine::apply_end_of_rib(NodeId v, NodeId w, std::uint64_t epoch, SimT
   }
   if (epoch != slot_to(v, w).epoch) {
     // The session reset after the marker was sent: it died in flight.
-    ++deliveries_voided_;
+    ++counters_.deliveries_voided;
     return;
   }
   const std::size_t swept = sweep_stale_from(w, v);
   if (swept > 0) {
-    stale_swept_eor_ += swept;
+    counters_.stale_swept_eor += swept;
     reconsider(w, now);
   }
 }
@@ -859,7 +787,7 @@ void EventEngine::apply_stale_expire(NodeId v, std::uint64_t generation, SimTime
   if (swept_total > 0) {
     // Logged only when it actually degraded to a cold flush — a timer that
     // fires after a completed recovery is a silent no-op.
-    stale_swept_expired_ += swept_total;
+    counters_.stale_swept_expired += swept_total;
     record_fault({now, FaultKind::kStaleExpire, v, kNoNode});
   }
 }
@@ -895,13 +823,13 @@ void EventEngine::apply_link_fault(EventKind kind, NodeId a, NodeId b, Cost cost
   record_fault({now, record, a, b, cost});
   const auto prev = igp_;
   igp_ = inst_->igp_epoch(link_state_.effective());
-  ++igp_swaps_;
+  ++counters_.igp_epoch_swaps;
   igp_log_.push_back({now, igp_->fingerprint(), igp_,
                       {link_state_.effective().begin(), link_state_.effective().end()}});
   if (tracing()) {
     util::json::Object fields;
     fields.emplace_back("fingerprint", igp_->fingerprint());
-    fields.emplace_back("swaps", static_cast<std::uint64_t>(igp_swaps_));
+    fields.emplace_back("swaps", counters_.igp_epoch_swaps);
     trace_->emit(now, "igp-epoch", std::move(fields));
   }
 
@@ -972,33 +900,22 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
     const obs::Span delivery_span(profile_.live_delivery);
     switch (event.kind) {
       case EventKind::kEbgpAnnounce:
-        ebgp_live_[event.path] = true;
+      case EventKind::kEbgpWithdraw: {
+        const bool live = event.kind == EventKind::kEbgpAnnounce;
+        ebgp_live_[event.path] = live;
         if (tracing()) {
           util::json::Object fields;
           fields.emplace_back("path", event.path);
           fields.emplace_back("node", event.to);
           fields.emplace_back("lid", event.seq);  // injection root: no pid
-          trace_->emit(event.time, "ebgp-announce", std::move(fields));
+          trace_->emit(event.time, live ? "ebgp-announce" : "ebgp-withdraw", std::move(fields));
         }
         if (node_up_[event.to]) {
-          nodes_[event.to].own[event.path] = true;
+          nodes_[event.to].own[event.path] = live;
           reconsider(event.to, event.time);
         }
         break;
-      case EventKind::kEbgpWithdraw:
-        ebgp_live_[event.path] = false;
-        if (tracing()) {
-          util::json::Object fields;
-          fields.emplace_back("path", event.path);
-          fields.emplace_back("node", event.to);
-          fields.emplace_back("lid", event.seq);  // injection root: no pid
-          trace_->emit(event.time, "ebgp-withdraw", std::move(fields));
-        }
-        if (node_up_[event.to]) {
-          nodes_[event.to].own[event.path] = false;
-          reconsider(event.to, event.time);
-        }
-        break;
+      }
       case EventKind::kUpdate: {
         const bool voided =
             event.epoch != slot_to(event.from, event.to).epoch;
@@ -1015,7 +932,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
         }
         if (voided) {
           // Sent before a reset of this session: the message died with it.
-          ++deliveries_voided_;
+          ++counters_.deliveries_voided;
           break;
         }
         auto& holders = nodes_[event.to].holders[event.path];
@@ -1043,7 +960,7 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
           // cleared it), and the re-established session already replayed a
           // full sync.  Firing it would leak a stale scheduled advertisement
           // into the new session epoch.
-          ++deliveries_voided_;
+          ++counters_.deliveries_voided;
           break;
         }
         if (tracing()) {
@@ -1099,51 +1016,33 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
       queue_.empty() || (horizon && queue_.top().time > *horizon);
   result.budget_exhausted = result.deliveries >= max_deliveries;
   result.events_pending = queue_.size();
-  if (!queue_.empty()) {
-    // Scan a drained copy for fault events the budget cut off; the engine's
-    // own queue stays intact so a later run() call can resume.
-    auto pending = queue_;
-    while (!pending.empty()) {
-      const Event& event = pending.top();
-      switch (event.kind) {
-        case EventKind::kSessionDown:
-        case EventKind::kSessionUp:
-        case EventKind::kCrash:
-        case EventKind::kRestart:
-        case EventKind::kGracefulDown:
-        case EventKind::kStaleExpire:
-        case EventKind::kLinkCostChange:
-        case EventKind::kLinkDown:
-        case EventKind::kLinkUp:
-          if (result.faults_pending == 0) result.next_fault_time = event.time;
-          ++result.faults_pending;
-          break;
-        case EventKind::kEbgpAnnounce:
-        case EventKind::kEbgpWithdraw:
-        case EventKind::kUpdate:
-        case EventKind::kMraiFlush:
-        case EventKind::kEndOfRib:
-          break;
-      }
-      pending.pop();
+  // Fault events the budget cut off, and the earliest one's time; the queue
+  // stays intact so a later run() call can resume.
+  for (const Event& event : queue_.events()) {
+    switch (event.kind) {
+      case EventKind::kSessionDown:
+      case EventKind::kSessionUp:
+      case EventKind::kCrash:
+      case EventKind::kRestart:
+      case EventKind::kGracefulDown:
+      case EventKind::kStaleExpire:
+      case EventKind::kLinkCostChange:
+      case EventKind::kLinkDown:
+      case EventKind::kLinkUp:
+        if (result.faults_pending == 0 || event.time < result.next_fault_time) {
+          result.next_fault_time = event.time;
+        }
+        ++result.faults_pending;
+        break;
+      case EventKind::kEbgpAnnounce:
+      case EventKind::kEbgpWithdraw:
+      case EventKind::kUpdate:
+      case EventKind::kMraiFlush:
+      case EventKind::kEndOfRib:
+        break;
     }
   }
-  result.updates_sent = updates_sent_;
-  result.best_flips = best_flips_;
-  result.messages_dropped = messages_dropped_;
-  result.messages_duplicated = messages_duplicated_;
-  result.deliveries_voided = deliveries_voided_;
-  result.faults_applied = fault_log_.size();
-  result.eor_markers_sent = eor_sent_;
-  result.stale_retained = stale_retained_;
-  result.stale_swept_eor = stale_swept_eor_;
-  result.stale_swept_expired = stale_swept_expired_;
-  result.igp_epoch_swaps = igp_swaps_;
-  result.decisions_total = decisions_total_;
-  result.decisions_empty = decisions_empty_;
-  result.mrai_deferrals = mrai_deferrals_;
-  result.decisions_by_rule = decisions_by_rule_;
-  result.decisions_by_node = decisions_by_node_;
+  static_cast<EngineCounters&>(result) = counters_;
   result.final_best.reserve(nodes_.size());
   for (NodeId v = 0; v < nodes_.size(); ++v) result.final_best.push_back(best_path(v));
   // Record cumulative totals so a later capture() carries them forward.
@@ -1168,30 +1067,20 @@ void EventEngine::flush_metrics(const Result& result) {
     pushed = current;
   };
   handles_.deliveries->add(result.deliveries);  // per-run, not cumulative
-  push(handles_.updates_sent, updates_sent_, flushed_.updates_sent);
-  push(handles_.deliveries_voided, deliveries_voided_, flushed_.deliveries_voided);
-  push(handles_.messages_dropped, messages_dropped_, flushed_.messages_dropped);
-  push(handles_.messages_duplicated, messages_duplicated_,
-       flushed_.messages_duplicated);
-  push(handles_.best_flips, best_flips_, flushed_.best_flips);
-  push(handles_.mrai_deferrals, mrai_deferrals_, flushed_.mrai_deferrals);
-  push(handles_.faults_applied, fault_log_.size(), flushed_.faults_applied);
-  push(handles_.eor_markers_sent, eor_sent_, flushed_.eor_markers_sent);
-  push(handles_.stale_retained, stale_retained_, flushed_.stale_retained);
-  push(handles_.stale_swept_eor, stale_swept_eor_, flushed_.stale_swept_eor);
-  push(handles_.stale_swept_expired, stale_swept_expired_,
-       flushed_.stale_swept_expired);
-  push(handles_.igp_epoch_swaps, igp_swaps_, flushed_.igp_epoch_swaps);
-  push(handles_.decisions, decisions_total_, flushed_.decisions);
-  push(handles_.decisions_empty, decisions_empty_, flushed_.decisions_empty);
+  for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
+    const auto member = kEngineCounters[i].member;
+    push(handles_.counters[i], counters_.*member, flushed_.*member);
+  }
   for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
-    push(handles_.decided[rule], decisions_by_rule_[rule], flushed_.decided[rule]);
+    push(handles_.decided[rule], counters_.decisions_by_rule[rule],
+         flushed_.decisions_by_rule[rule]);
   }
   handles_.queue_depth_max->record_max(static_cast<std::int64_t>(max_queue_depth_));
 }
 
 EngineState EventEngine::capture() const {
   EngineState state;
+  static_cast<EngineCounters&>(state) = counters_;
   state.instance = std::string(inst_->name());
   state.protocol = core::protocol_name(protocol_);
   state.node_count = inst_->node_count();
@@ -1200,46 +1089,12 @@ EngineState EventEngine::capture() const {
   state.mrai = mrai_;
   state.stale_timer = stale_timer_;
 
-  // Drain a copy of the heap: (time, seq) keys are unique, so this yields
-  // the exact global pop order and re-pushing reproduces it.
-  auto pending = queue_;
-  state.queue.reserve(pending.size());
-  while (!pending.empty()) {
-    const Event& event = pending.top();
-    EngineState::PendingEvent out;
-    out.time = event.time;
-    out.seq = event.seq;
-    out.pid = event.pid;
-    out.kind = static_cast<std::uint8_t>(event.kind);
-    out.from = event.from;
-    out.to = event.to;
-    out.path = event.path;
-    out.announce = event.announce;
-    out.epoch = event.epoch;
-    out.cost = event.cost;
-    state.queue.push_back(out);
-    pending.pop();
-  }
-
-  state.nodes.reserve(nodes_.size());
-  for (const NodeState& node : nodes_) {
-    EngineState::NodeSnapshot snap;
-    snap.holders = node.holders;
-    snap.stale = node.stale;
-    snap.own = node.own;
-    if (node.best) {
-      snap.has_best = true;
-      snap.best_path = node.best->path;
-      snap.best_metric = node.best->metric;
-      snap.best_learned_from = node.best->learned_from;
-      snap.best_is_ebgp = node.best->is_ebgp;
-    }
-    snap.advertised_out = node.advertised_out;
-    snap.desired_out = node.desired_out;
-    snap.mrai_ready = node.mrai_ready;
-    snap.flush_scheduled = node.flush_scheduled;
-    state.nodes.push_back(std::move(snap));
-  }
+  // (time, seq) keys are unique, so the ascending order is canonical and
+  // any heap rebuilt from it pops identically.
+  state.queue = queue_.events();
+  std::sort(state.queue.begin(), state.queue.end(),
+            [](const Event& a, const Event& b) { return EventAfter{}(b, a); });
+  state.nodes = nodes_;
 
   // ibgp-ckpt-v1 keeps session state dense (node×node); only session pairs
   // carry anything, so every other entry stays zero.
@@ -1264,6 +1119,8 @@ EngineState EventEngine::capture() const {
   state.fib_frozen = fib_frozen_;
   state.ebgp_live = ebgp_live_;
 
+  // The underlay as v1 stores it: configured cost and down flag per link,
+  // and each epoch by the effective-cost vector that keys it.
   state.link_cost.reserve(link_state_.link_count());
   state.link_down.reserve(link_state_.link_count());
   for (std::size_t link = 0; link < link_state_.link_count(); ++link) {
@@ -1277,24 +1134,7 @@ EngineState EventEngine::capture() const {
 
   state.next_seq = next_seq_;
   state.session_msg_seq = session_msg_seq_;
-
-  state.updates_sent = updates_sent_;
-  state.best_flips = best_flips_;
-  state.messages_dropped = messages_dropped_;
-  state.messages_duplicated = messages_duplicated_;
-  state.deliveries_voided = deliveries_voided_;
-  state.eor_sent = eor_sent_;
-  state.stale_retained = stale_retained_;
-  state.stale_swept_eor = stale_swept_eor_;
-  state.stale_swept_expired = stale_swept_expired_;
-  state.igp_swaps = igp_swaps_;
-  state.decisions_total = decisions_total_;
-  state.decisions_empty = decisions_empty_;
-  state.mrai_deferrals = mrai_deferrals_;
-  state.decisions_by_rule = decisions_by_rule_;
-  state.decisions_by_node = decisions_by_node_;
-  state.flips_by_node.assign(flips_by_node_.begin(), flips_by_node_.end());
-
+  state.flips_by_node = flips_by_node_;
   state.flap_log = flap_log_;
   state.fault_log = fault_log_;
   state.fib_log = fib_log_;
@@ -1315,6 +1155,118 @@ namespace {
 
 [[noreturn]] void restore_error(const std::string& what) {
   throw std::runtime_error("EventEngine::restore: " + what);
+}
+
+// Whether `ids` ascends strictly and every id passes `valid`.
+template <typename Id, typename Valid>
+bool ascending(const std::vector<Id>& ids, Valid valid) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!valid(ids[i]) || (i > 0 && ids[i] <= ids[i - 1])) return false;
+  }
+  return true;
+}
+
+// Rejects every per-node vector of the wrong size and every id in `state`
+// that does not fit `inst`, before anything indexes with it (the other
+// sizes are already checked).  One pass over the state with one scratch
+// vector: restore stays linear in the state's size.
+void check_contents(const core::Instance& inst, const EngineState& state) {
+  const std::size_t n = inst.node_count();
+  const std::size_t paths = inst.exits().size();
+  const auto& sessions = inst.sessions();
+  const auto is_session = [&](NodeId u, NodeId v) {
+    return u < n && v < n && sessions.has_session(u, v);
+  };
+  const auto is_path = [&](PathId p) { return p < paths; };
+  const auto is_path_or_none = [&](PathId p) { return p < paths || p == kNoPath; };
+
+  for (std::size_t i = 0; i < state.queue.size(); ++i) {
+    const Event& e = state.queue[i];
+    const auto fail = [&](const std::string& what) {
+      restore_error("queue entry " + std::to_string(i) + " (kind " +
+                    std::to_string(static_cast<int>(e.kind)) + "): " + what);
+    };
+    const auto pair = [&](const char* sep) {
+      return std::to_string(e.from) + sep + std::to_string(e.to);
+    };
+    switch (e.kind) {
+      case EventKind::kEbgpAnnounce:
+      case EventKind::kEbgpWithdraw:
+        if (!is_path(e.path)) fail("path " + std::to_string(e.path) + " out of range");
+        if (e.to != inst.exits()[e.path].exit_point) {
+          fail("node " + std::to_string(e.to) + " is not the exit point of its path");
+        }
+        break;
+      case EventKind::kUpdate:
+        if (!is_path(e.path)) fail("path " + std::to_string(e.path) + " out of range");
+        [[fallthrough]];
+      case EventKind::kMraiFlush:
+      case EventKind::kEndOfRib:
+      case EventKind::kSessionDown:
+      case EventKind::kSessionUp:
+        if (!is_session(e.from, e.to)) fail(pair("->") + " is not a session");
+        break;
+      case EventKind::kCrash:
+      case EventKind::kRestart:
+      case EventKind::kGracefulDown:
+      case EventKind::kStaleExpire:
+        if (e.from >= n) fail("node " + std::to_string(e.from) + " out of range");
+        break;
+      case EventKind::kLinkCostChange:
+      case EventKind::kLinkDown:
+      case EventKind::kLinkUp:
+        if (e.from >= n || e.to >= n || !inst.physical().find_link(e.from, e.to)) {
+          fail(pair("-") + " is not a link");
+        }
+        if (e.kind == EventKind::kLinkCostChange && (e.cost <= 0 || e.cost >= kInfCost)) {
+          fail("cost " + std::to_string(e.cost) + " is not a positive finite metric");
+        }
+        break;
+      default:
+        restore_error("pending event with unknown kind");
+    }
+  }
+
+  std::vector<char> is_peer(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeState& node = state.nodes[v];
+    const auto fail = [&](const char* field, std::size_t index, const char* what) {
+      restore_error("node " + std::to_string(v) + " " + field + "[" + std::to_string(index) +
+                    "] is not an ascending list of " + what);
+    };
+    const auto peers = sessions.peers(v);
+    if (node.holders.size() != paths || node.stale.size() != paths ||
+        node.own.size() != paths) {
+      restore_error("node " + std::to_string(v) + ": per-path vector size mismatch");
+    }
+    if (node.advertised_out.size() != peers.size() || node.desired_out.size() != peers.size() ||
+        node.mrai_ready.size() != peers.size() || node.flush_scheduled.size() != peers.size()) {
+      restore_error("node " + std::to_string(v) + ": per-peer vector size mismatch");
+    }
+    for (const NodeId w : peers) is_peer[w] = 1;
+    const auto is_peer_of_v = [&](NodeId w) { return w < n && is_peer[w] != 0; };
+    for (PathId p = 0; p < paths; ++p) {
+      if (!ascending(node.holders[p], is_peer_of_v)) fail("holders", p, "session peers");
+      if (!ascending(node.stale[p], is_peer_of_v)) fail("stale", p, "session peers");
+    }
+    for (const NodeId w : peers) is_peer[w] = 0;
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      if (!ascending(node.advertised_out[i], is_path)) fail("advertised_out", i, "path ids");
+      if (!ascending(node.desired_out[i], is_path)) fail("desired_out", i, "path ids");
+    }
+    if (node.best && !is_path(node.best->path)) {
+      restore_error("node " + std::to_string(v) + " best path out of range");
+    }
+    if (!is_path_or_none(state.fib[v])) {
+      restore_error("node " + std::to_string(v) + " fib path out of range");
+    }
+  }
+  for (const auto& record : state.fib_log) {
+    if (record.node >= n || !is_path_or_none(record.old_path) ||
+        !is_path_or_none(record.new_path)) {
+      restore_error("fib_log entry at time " + std::to_string(record.time) + " out of range");
+    }
+  }
 }
 
 }  // namespace
@@ -1370,28 +1322,15 @@ void EventEngine::restore(const EngineState& state) {
       state.link_down.size() != state.link_count) {
     restore_error("link vector size mismatch");
   }
-  for (const auto& event : state.queue) {
-    if (event.kind > static_cast<std::uint8_t>(EventKind::kLinkUp)) {
-      restore_error("pending event with unknown kind");
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& snap = state.nodes[v];
-    const std::size_t peer_count = inst_->sessions().peers(v).size();
-    if (snap.holders.size() != paths || snap.stale.size() != paths ||
-        snap.own.size() != paths) {
-      restore_error("node " + std::to_string(v) + ": per-path vector size mismatch");
-    }
-    if (snap.advertised_out.size() != peer_count || snap.desired_out.size() != peer_count ||
-        snap.mrai_ready.size() != peer_count || snap.flush_scheduled.size() != peer_count) {
-      restore_error("node " + std::to_string(v) + ": per-peer vector size mismatch");
-    }
-  }
   for (const auto& snapshot : state.igp_log) {
     if (snapshot.effective.size() != state.link_count) {
       restore_error("igp_log entry with wrong effective-vector length");
     }
   }
+  if (state.faults_applied != state.fault_log.size()) {
+    restore_error("faults_applied does not match the fault_log length");
+  }
+  check_contents(*inst_, state);
 
   mrai_ = state.mrai;
   stale_timer_ = state.stale_timer;
@@ -1416,28 +1355,13 @@ void EventEngine::restore(const EngineState& state) {
     igp_log_.push_back({snapshot.time, epoch->fingerprint(), epoch, snapshot.effective});
   }
 
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& snap = state.nodes[v];
-    NodeState& node = nodes_[v];
-    node.holders = snap.holders;
-    node.stale = snap.stale;
-    node.own = snap.own;
-    if (snap.has_best) {
-      node.best = bgp::RouteView{snap.best_path, snap.best_metric,
-                                 snap.best_learned_from, snap.best_is_ebgp};
-    } else {
-      node.best.reset();
-    }
-    node.advertised_out = snap.advertised_out;
-    node.desired_out = snap.desired_out;
-    node.mrai_ready = snap.mrai_ready;
-    node.flush_scheduled = snap.flush_scheduled;
-    // Verdicts are not captured: the first reconsider re-derives them and
-    // runs the full peer loop.
-    node.verdicts.clear();
-    node.resync = true;
+  nodes_ = state.nodes;
+  // The export cache is derived: each node's first reconsider re-derives
+  // its verdicts and runs the full peer loop.
+  for (ExportCache& cache : export_) {
+    cache.verdicts.clear();
+    cache.resync = true;
   }
-
   for (NodeId u = 0; u < n; ++u) {
     const auto peers = inst_->sessions().peers(u);
     for (std::size_t i = 0; i < peers.size(); ++i) {
@@ -1454,43 +1378,11 @@ void EventEngine::restore(const EngineState& state) {
   fib_ = state.fib;
   fib_frozen_ = state.fib_frozen;
   ebgp_live_ = state.ebgp_live;
-
-  queue_ = {};
-  for (const auto& pending : state.queue) {
-    Event event;
-    event.time = pending.time;
-    event.seq = pending.seq;
-    event.pid = pending.pid;
-    event.kind = static_cast<EventKind>(pending.kind);
-    event.from = pending.from;
-    event.to = pending.to;
-    event.path = pending.path;
-    event.announce = pending.announce;
-    event.epoch = pending.epoch;
-    event.cost = pending.cost;
-    queue_.push(event);
-  }
-
+  queue_.assign(state.queue);
   next_seq_ = state.next_seq;
   session_msg_seq_ = state.session_msg_seq;
-
-  updates_sent_ = state.updates_sent;
-  best_flips_ = state.best_flips;
-  messages_dropped_ = state.messages_dropped;
-  messages_duplicated_ = state.messages_duplicated;
-  deliveries_voided_ = state.deliveries_voided;
-  eor_sent_ = state.eor_sent;
-  stale_retained_ = state.stale_retained;
-  stale_swept_eor_ = state.stale_swept_eor;
-  stale_swept_expired_ = state.stale_swept_expired;
-  igp_swaps_ = state.igp_swaps;
-  decisions_total_ = state.decisions_total;
-  decisions_empty_ = state.decisions_empty;
-  mrai_deferrals_ = state.mrai_deferrals;
-  decisions_by_rule_ = state.decisions_by_rule;
-  decisions_by_node_ = state.decisions_by_node;
-  flips_by_node_.assign(state.flips_by_node.begin(), state.flips_by_node.end());
-
+  counters_ = state;
+  flips_by_node_ = state.flips_by_node;
   flap_log_ = state.flap_log;
   fault_log_ = state.fault_log;
   fib_log_ = state.fib_log;

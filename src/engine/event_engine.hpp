@@ -116,6 +116,8 @@
 // in each interval, and analysis/invariants can assert post-quiescence that
 // every selected route's metric matches the *current* graph.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -126,8 +128,6 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <array>
 
 #include "bgp/selection.hpp"
 #include "core/instance.hpp"
@@ -190,6 +190,130 @@ class FaultInjector {
   virtual ~FaultInjector() = default;
   virtual MessageFate classify(NodeId from, NodeId to, std::uint64_t seq) = 0;
   virtual void on_drop(EventEngine& engine, NodeId from, NodeId to, SimTime now);
+};
+
+/// Kinds of queued events; the values are the ibgp-ckpt-v1 encoding.
+enum class EventKind : std::uint8_t {
+  kEbgpAnnounce,
+  kEbgpWithdraw,
+  kUpdate,
+  kMraiFlush,
+  kSessionDown,
+  kSessionUp,
+  kCrash,
+  kRestart,
+  kGracefulDown,
+  kEndOfRib,        // from -> to marker closing a graceful-restart replay
+  kStaleExpire,     // from = restarting router whose stale timer fired
+  kLinkCostChange,  // from—to = physical link endpoints, cost = new metric
+  kLinkDown,
+  kLinkUp,
+};
+
+/// One queued event.  (time, seq) is unique and fixes the pop order.
+struct Event {
+  SimTime time = 0;
+  std::uint64_t seq = 0;  // global tie-break preserving enqueue order
+  std::uint64_t pid = kNoCause;  // seq of the causing event (kNoCause = root)
+  EventKind kind = EventKind::kUpdate;
+  NodeId from = kNoNode;  // kUpdate / kMraiFlush / session faults (endpoint a)
+  NodeId to = kNoNode;
+  PathId path = kNoPath;
+  bool announce = true;      // kUpdate: announce vs withdraw
+  std::uint64_t epoch = 0;   // kUpdate/kEndOfRib/kMraiFlush: voided if the
+                             // session reset since scheduling; kStaleExpire:
+                             // the graceful-restart generation it guards
+                             // (stale timers of an older restart must not
+                             // fire into a newer one)
+  Cost cost = 0;             // kLinkCostChange: the new metric
+};
+
+/// One router's protocol state: Adj-RIB-In, own E-BGP routes, best route,
+/// and what it sent (or will send) to each session peer.
+struct NodeState {
+  /// holders[p] = session peers currently announcing p to us, ascending.
+  std::vector<std::vector<NodeId>> holders;
+  /// stale[p] ⊆ holders[p]: entries retained across the peer's graceful
+  /// restart, pending refresh (re-announce), EoR sweep, or timer expiry.
+  std::vector<std::vector<NodeId>> stale;
+  /// Own E-BGP paths currently injected.
+  std::vector<bool> own;
+  std::optional<bgp::RouteView> best;
+  /// advertised_out[peer_index] = path set last sent to that peer.
+  std::vector<std::vector<PathId>> advertised_out;
+  /// MRAI state per peer: the latest desired set, the earliest next send
+  /// time, and whether a flush event is already scheduled.
+  std::vector<std::vector<PathId>> desired_out;
+  std::vector<SimTime> mrai_ready;
+  std::vector<bool> flush_scheduled;
+};
+
+/// The engine's deterministic counters, cumulative over a run and across
+/// its checkpoints.  EventEngine::Result and EngineState inherit them.
+struct EngineCounters {
+  std::uint64_t updates_sent = 0;         ///< announce+withdraw messages enqueued
+  std::uint64_t deliveries_voided = 0;    ///< in-flight messages killed by session resets
+  std::uint64_t messages_dropped = 0;     ///< voided by the FaultInjector
+  std::uint64_t messages_duplicated = 0;  ///< extra copies enqueued
+  std::uint64_t best_flips = 0;           ///< total best-route changes
+  std::uint64_t mrai_deferrals = 0;       ///< peer syncs batched by the MRAI hold-down
+  std::uint64_t faults_applied = 0;       ///< fault_log() entries
+  std::uint64_t eor_markers_sent = 0;     ///< End-of-RIB markers enqueued
+  std::uint64_t stale_retained = 0;       ///< Adj-RIB-In entries marked stale
+  std::uint64_t stale_swept_eor = 0;      ///< stale entries swept by an EoR
+  std::uint64_t stale_swept_expired = 0;  ///< stale entries cold-flushed by the timer
+  std::uint64_t igp_epoch_swaps = 0;      ///< link faults that installed a new IGP epoch
+  // --- decision provenance (bgp::SelectionProvenance, aggregated) ---------
+  /// reconsider() selections that produced a best route; equals the sum of
+  /// decisions_by_rule (tested in test_obs).
+  std::uint64_t decisions_total = 0;
+  std::uint64_t decisions_empty = 0;  ///< selections with no usable route
+  /// decisions_by_rule[rule_index(r)] = selections where r was decisive.
+  std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule{};
+  /// Per-node decisive-rule histogram, indexed by NodeId.
+  std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node;
+};
+
+/// One scalar counter of EngineCounters and its names: `name` in Result and
+/// ibgp-journal-v1, `metric` in the registry, `ckpt` in ibgp-ckpt-v1's
+/// "counters" block (nullptr: not stored there, derived on load).
+struct CounterField {
+  const char* name;
+  const char* metric;
+  const char* ckpt;
+  std::uint64_t EngineCounters::*member;
+};
+
+/// Every scalar counter, in metric registration order.  Adding a counter
+/// takes a member above, a row here, and its increment.
+inline constexpr std::array kEngineCounters{
+    CounterField{"updates_sent", "engine.updates_sent", "updates_sent",
+                 &EngineCounters::updates_sent},
+    CounterField{"deliveries_voided", "engine.deliveries_voided", "deliveries_voided",
+                 &EngineCounters::deliveries_voided},
+    CounterField{"messages_dropped", "engine.messages_dropped", "messages_dropped",
+                 &EngineCounters::messages_dropped},
+    CounterField{"messages_duplicated", "engine.messages_duplicated", "messages_duplicated",
+                 &EngineCounters::messages_duplicated},
+    CounterField{"best_flips", "engine.best_flips", "best_flips", &EngineCounters::best_flips},
+    CounterField{"mrai_deferrals", "engine.mrai_deferrals", "mrai_deferrals",
+                 &EngineCounters::mrai_deferrals},
+    CounterField{"faults_applied", "engine.faults_applied", nullptr,
+                 &EngineCounters::faults_applied},
+    CounterField{"eor_markers_sent", "engine.eor_markers_sent", "eor_sent",
+                 &EngineCounters::eor_markers_sent},
+    CounterField{"stale_retained", "engine.stale_retained", "stale_retained",
+                 &EngineCounters::stale_retained},
+    CounterField{"stale_swept_eor", "engine.stale_swept_eor", "stale_swept_eor",
+                 &EngineCounters::stale_swept_eor},
+    CounterField{"stale_swept_expired", "engine.stale_swept_expired", "stale_swept_expired",
+                 &EngineCounters::stale_swept_expired},
+    CounterField{"igp_epoch_swaps", "engine.igp_epoch_swaps", "igp_swaps",
+                 &EngineCounters::igp_epoch_swaps},
+    CounterField{"decisions_total", "engine.decisions", "decisions_total",
+                 &EngineCounters::decisions_total},
+    CounterField{"decisions_empty", "engine.decisions_empty", "decisions_empty",
+                 &EngineCounters::decisions_empty},
 };
 
 class EventEngine {
@@ -345,7 +469,8 @@ class EventEngine {
 
   // --- execution --------------------------------------------------------------
 
-  struct Result {
+  /// Outcome of a run: the stop condition plus every counter (inherited).
+  struct Result : EngineCounters {
     /// The event queue drained: nothing was left to do.  Independent of
     /// budget_exhausted — a run that spends its delivery budget on the very
     /// last event reports BOTH converged (drained) and budget_exhausted
@@ -367,29 +492,8 @@ class EventEngine {
     std::size_t faults_pending = 0;
     SimTime next_fault_time = 0;
     std::size_t deliveries = 0;  ///< events processed
-    std::size_t updates_sent = 0;  ///< announce+withdraw messages enqueued
     SimTime end_time = 0;        ///< virtual time of the last processed event
-    std::size_t best_flips = 0;  ///< total best-route changes
     std::vector<PathId> final_best;  ///< per node; kNoPath = no route
-    std::size_t messages_dropped = 0;     ///< voided by the FaultInjector
-    std::size_t messages_duplicated = 0;  ///< extra copies enqueued
-    std::size_t deliveries_voided = 0;  ///< in-flight messages killed by session resets
-    std::size_t faults_applied = 0;     ///< fault_log() entries
-    std::size_t eor_markers_sent = 0;   ///< End-of-RIB markers enqueued
-    std::size_t stale_retained = 0;     ///< Adj-RIB-In entries marked stale
-    std::size_t stale_swept_eor = 0;    ///< stale entries swept by an EoR
-    std::size_t stale_swept_expired = 0;  ///< stale entries cold-flushed by the timer
-    std::size_t igp_epoch_swaps = 0;  ///< link faults that installed a new IGP epoch
-    // --- decision provenance (bgp::SelectionProvenance, aggregated) ---------
-    /// Total reconsider() selections that produced a best route.  Equals the
-    /// sum of decisions_by_rule (tested in test_obs).
-    std::uint64_t decisions_total = 0;
-    std::uint64_t decisions_empty = 0;  ///< selections with no usable route
-    std::uint64_t mrai_deferrals = 0;   ///< peer syncs batched by the MRAI hold-down
-    /// decisions_by_rule[rule_index(r)] = selections where r was decisive.
-    std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule{};
-    /// Per-node decisive-rule histogram, indexed by NodeId.
-    std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node;
   };
 
   /// Processes events until the queue drains or `max_deliveries` is hit.
@@ -439,8 +543,10 @@ class EventEngine {
   /// (restore overwrites both), but attach delay/injector/metrics/trace
   /// BEFORE calling restore, which seals the engine.  The next run() then
   /// continues bit-for-bit where capture() left off: resume ≡ uninterrupted.
-  /// Throws std::logic_error when already sealed, std::runtime_error when
-  /// the state does not match this instance/protocol or is malformed.
+  /// Throws std::logic_error when already sealed, std::runtime_error
+  /// (naming the field) when the state does not match this
+  /// instance/protocol, is malformed, or holds a node, path, session or
+  /// link id the instance does not have; nothing is assigned then.
   void restore(const EngineState& state);
 
   // --- inspection -------------------------------------------------------------
@@ -453,7 +559,8 @@ class EventEngine {
   [[nodiscard]] const std::optional<bgp::RouteView>& best(NodeId v) const {
     return nodes_.at(v).best;
   }
-  [[nodiscard]] std::size_t updates_sent() const { return updates_sent_; }
+  /// Counters accumulated so far; run() reports them in its Result.
+  [[nodiscard]] const EngineCounters& counters() const { return counters_; }
   [[nodiscard]] std::span<const std::size_t> flips_by_node() const { return flips_by_node_; }
 
   /// Whether router v's control plane is currently up (not crashed and not
@@ -509,14 +616,6 @@ class EventEngine {
   /// The path set `from` believes it has advertised to `to` (ascending).
   [[nodiscard]] std::span<const PathId> advertised_to(NodeId from, NodeId to) const;
 
-  [[nodiscard]] std::size_t messages_dropped() const { return messages_dropped_; }
-  [[nodiscard]] std::size_t messages_duplicated() const { return messages_duplicated_; }
-  [[nodiscard]] std::size_t deliveries_voided() const { return deliveries_voided_; }
-  [[nodiscard]] std::size_t eor_markers_sent() const { return eor_sent_; }
-  [[nodiscard]] std::size_t stale_retained() const { return stale_retained_; }
-  [[nodiscard]] std::size_t stale_swept_eor() const { return stale_swept_eor_; }
-  [[nodiscard]] std::size_t stale_swept_expired() const { return stale_swept_expired_; }
-
   /// One best-route change at a node, for flap traces (Table 1 reports).
   struct FlapRecord {
     SimTime time = 0;
@@ -566,44 +665,18 @@ class EventEngine {
   [[nodiscard]] std::span<const FibRecord> fib_log() const { return fib_log_; }
 
  private:
-  enum class EventKind : std::uint8_t {
-    kEbgpAnnounce,
-    kEbgpWithdraw,
-    kUpdate,
-    kMraiFlush,
-    kSessionDown,
-    kSessionUp,
-    kCrash,
-    kRestart,
-    kGracefulDown,
-    kEndOfRib,     // from -> to marker closing a graceful-restart replay
-    kStaleExpire,  // from = restarting router whose stale timer fired
-    kLinkCostChange,  // from—to = physical link endpoints, cost = new metric
-    kLinkDown,
-    kLinkUp,
-  };
-
-  struct Event {
-    SimTime time = 0;
-    std::uint64_t seq = 0;  // global tie-break preserving enqueue order
-    std::uint64_t pid = kNoCause;  // seq of the causing event (kNoCause = root)
-    EventKind kind = EventKind::kUpdate;
-    NodeId from = kNoNode;  // kUpdate / kMraiFlush / session faults (endpoint a)
-    NodeId to = kNoNode;
-    PathId path = kNoPath;
-    bool announce = true;      // kUpdate: announce vs withdraw
-    std::uint64_t epoch = 0;   // kUpdate/kEndOfRib/kMraiFlush: voided if the
-                               // session reset since scheduling; kStaleExpire:
-                               // the graceful-restart generation it guards
-                               // (stale timers of an older restart must not
-                               // fire into a newer one)
-    Cost cost = 0;             // kLinkCostChange: the new metric
-  };
-
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
+    }
+  };
+  /// Min-heap on (time, seq) whose events capture and restore can reach.
+  struct EventQueue : std::priority_queue<Event, std::vector<Event>, EventAfter> {
+    [[nodiscard]] const std::vector<Event>& events() const { return c; }
+    void assign(std::vector<Event> events) {
+      c = std::move(events);
+      std::make_heap(c.begin(), c.end(), comp);
     }
   };
 
@@ -636,23 +709,9 @@ class EventEngine {
     std::uint8_t peer_class = 0;  // PeerClass of `to` seen from `from`; static
   };
 
-  struct NodeState {
-    /// holders[p] = session peers currently announcing p to us, ascending.
-    std::vector<std::vector<NodeId>> holders;
-    /// stale[p] ⊆ holders[p]: entries retained across the peer's graceful
-    /// restart, pending refresh (re-announce), EoR sweep, or timer expiry.
-    std::vector<std::vector<NodeId>> stale;
-    /// Own E-BGP paths currently injected.
-    std::vector<bool> own;
-    std::optional<bgp::RouteView> best;
-    /// advertised_out[peer_index] = path set last sent to that peer.
-    std::vector<std::vector<PathId>> advertised_out;
-    /// MRAI state per peer: the latest desired set, the earliest next send
-    /// time, and whether a flush event is already scheduled.
-    std::vector<std::vector<PathId>> desired_out;
-    std::vector<SimTime> mrai_ready;
-    std::vector<bool> flush_scheduled;
-    /// Export verdicts of the last reconsider (derived, never captured).
+  /// A node's export cache: derived from its NodeState, never captured.
+  struct ExportCache {
+    /// Export verdicts of the last reconsider.
     std::vector<ExportVerdict> verdicts;
     /// Clear only while every peer's advertised_out and desired_out equal
     /// the filter of `verdicts` for that peer; then an unchanged verdict
@@ -661,6 +720,9 @@ class EventEngine {
     bool resync = false;
   };
 
+  /// Throws std::logic_error once an event is scheduled: `setter` configures
+  /// the whole run, so it must come first.
+  void require_unsealed(const char* setter) const;
   void enqueue_update(NodeId from, std::size_t peer_index, PathId path, bool announce,
                       SimTime now);
   void push_update(NodeId from, NodeId to, SessionSlot& slot, PathId path, bool announce,
@@ -697,7 +759,7 @@ class EventEngine {
   void reset_session(NodeId u, NodeId v);
   /// Empties one peer's advertised/desired sets and MRAI hold-down; marks
   /// the node for a full resync.
-  void clear_send_state(NodeState& node, std::size_t peer_index);
+  void clear_send_state(NodeId u, std::size_t peer_index);
   /// Clears everything node u tracks about session u—peer.
   void flush_endpoint(NodeId u, NodeId peer);
   /// Voids in-flight messages on v—w and resets both ends' send state, but
@@ -734,8 +796,9 @@ class EventEngine {
   SimTime stale_timer_ = 0;  // 0 = retain until EoR
   FaultInjector* injector_ = nullptr;  // non-owning
   bool sealed_ = false;  // an event has been scheduled: config is frozen
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  EventQueue queue_;
   std::vector<NodeState> nodes_;
+  std::vector<ExportCache> export_;  // per node
   std::vector<std::size_t> session_base_;  // node -> its first slot in session_slots_
   std::vector<SessionSlot> session_slots_;  // one per directed session
   // Working buffers of reconsider(), kept to reuse their capacity.
@@ -764,41 +827,14 @@ class EventEngine {
   SimTime last_run_end_time_ = 0;
   // Cooperative wall-clock guard (see set_deadline); never part of a hash.
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  std::size_t updates_sent_ = 0;
-  std::size_t best_flips_ = 0;
-  std::size_t messages_dropped_ = 0;
-  std::size_t messages_duplicated_ = 0;
-  std::size_t deliveries_voided_ = 0;
-  std::size_t eor_sent_ = 0;
-  std::size_t stale_retained_ = 0;
-  std::size_t stale_swept_eor_ = 0;
-  std::size_t stale_swept_expired_ = 0;
-  std::size_t igp_swaps_ = 0;
-  std::uint64_t decisions_total_ = 0;
-  std::uint64_t decisions_empty_ = 0;
-  std::uint64_t mrai_deferrals_ = 0;
-  std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule_{};
-  std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node_;
+  EngineCounters counters_;
   std::size_t max_queue_depth_ = 0;  // volatile-metric input, not in any hash
   // Observability attachments (non-owning) and cached metric handles.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   struct MetricHandles {
     obs::Counter* deliveries = nullptr;
-    obs::Counter* updates_sent = nullptr;
-    obs::Counter* deliveries_voided = nullptr;
-    obs::Counter* messages_dropped = nullptr;
-    obs::Counter* messages_duplicated = nullptr;
-    obs::Counter* best_flips = nullptr;
-    obs::Counter* mrai_deferrals = nullptr;
-    obs::Counter* faults_applied = nullptr;
-    obs::Counter* eor_markers_sent = nullptr;
-    obs::Counter* stale_retained = nullptr;
-    obs::Counter* stale_swept_eor = nullptr;
-    obs::Counter* stale_swept_expired = nullptr;
-    obs::Counter* igp_epoch_swaps = nullptr;
-    obs::Counter* decisions = nullptr;
-    obs::Counter* decisions_empty = nullptr;
+    std::array<obs::Counter*, kEngineCounters.size()> counters{};  // kEngineCounters order
     std::array<obs::Counter*, bgp::kSelectionRuleCount> decided{};
     obs::Gauge* queue_depth_max = nullptr;
   } handles_;
@@ -832,23 +868,7 @@ class EventEngine {
   std::uint64_t cause_ = kNoCause;
   std::uint64_t cause_parent_ = kNoCause;
   /// Counter values already pushed into metrics_ (flush-delta state).
-  struct Flushed {
-    std::uint64_t updates_sent = 0;
-    std::uint64_t deliveries_voided = 0;
-    std::uint64_t messages_dropped = 0;
-    std::uint64_t messages_duplicated = 0;
-    std::uint64_t best_flips = 0;
-    std::uint64_t mrai_deferrals = 0;
-    std::uint64_t faults_applied = 0;
-    std::uint64_t eor_markers_sent = 0;
-    std::uint64_t stale_retained = 0;
-    std::uint64_t stale_swept_eor = 0;
-    std::uint64_t stale_swept_expired = 0;
-    std::uint64_t igp_epoch_swaps = 0;
-    std::uint64_t decisions = 0;
-    std::uint64_t decisions_empty = 0;
-    std::array<std::uint64_t, bgp::kSelectionRuleCount> decided{};
-  } flushed_;
+  EngineCounters flushed_;
   std::vector<std::size_t> flips_by_node_;
   std::vector<FlapRecord> flap_log_;
   std::vector<FaultRecord> fault_log_;
@@ -863,9 +883,13 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry);
 
 /// Complete deterministic engine state, as captured by EventEngine::capture
 /// and rebuilt by EventEngine::restore.  Plain data by design: src/ckpt/
-/// serializes it to the versioned ibgp-ckpt-v1 JSON format.  The identity
-/// fields pin which (instance, protocol) the snapshot belongs to; restore
-/// refuses a mismatch rather than silently corrupting state.
+/// serializes it to the versioned ibgp-ckpt-v1 JSON format.  The queue and
+/// the nodes are the engine's own Event and NodeState values, and the
+/// counters its own EngineCounters; only the session slots and the IGP
+/// underlay are translated, into the dense and effective-cost forms v1
+/// stores.  The identity fields pin which (instance, protocol) the snapshot
+/// belongs to; restore refuses a mismatch, and any id that does not fit the
+/// instance, rather than silently corrupting state.
 ///
 /// Two state families are deliberately absent: RNG cursors (every FaultScript
 /// consumes its RNG at construction time and schedules all actions up front,
@@ -873,7 +897,7 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry);
 /// ScriptInjector classifies messages as a pure hash of (seed, from, to,
 /// seq), so it is stateless) and process attachments (delay fn, injector,
 /// metrics, trace — re-created by the restoring caller).
-struct EngineState {
+struct EngineState : EngineCounters {
   // --- identity guard ---
   std::string instance;
   std::string protocol;
@@ -885,39 +909,9 @@ struct EngineState {
   SimTime mrai = 0;
   SimTime stale_timer = 0;
 
-  /// One pending event, mirroring the engine's private Event struct.
-  /// `kind` is the raw EventKind value; restore validates the range.
-  struct PendingEvent {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t pid = kNoCause;  // causal parent seq (kNoCause = root)
-    std::uint8_t kind = 0;
-    NodeId from = kNoNode;
-    NodeId to = kNoNode;
-    PathId path = kNoPath;
-    bool announce = true;
-    std::uint64_t epoch = 0;
-    Cost cost = 0;
-  };
-  /// Pending events in ascending (time, seq) order — (time, seq) keys are
-  /// unique, so re-pushing them rebuilds a heap with identical pop order.
-  std::vector<PendingEvent> queue;
-
-  struct NodeSnapshot {
-    std::vector<std::vector<NodeId>> holders;  // per path, ascending
-    std::vector<std::vector<NodeId>> stale;    // per path, ascending
-    std::vector<bool> own;                     // per path
-    bool has_best = false;
-    PathId best_path = kNoPath;
-    Cost best_metric = kInfCost;
-    BgpId best_learned_from = 0;
-    bool best_is_ebgp = false;
-    std::vector<std::vector<PathId>> advertised_out;  // per peer index
-    std::vector<std::vector<PathId>> desired_out;
-    std::vector<SimTime> mrai_ready;
-    std::vector<bool> flush_scheduled;
-  };
-  std::vector<NodeSnapshot> nodes;
+  /// Pending events in ascending (time, seq) order.
+  std::vector<Event> queue;
+  std::vector<NodeState> nodes;
 
   /// Directed-session state as dense node×node arrays (index from·n + to).
   /// Only session pairs carry state: restore rejects a non-zero entry for
@@ -944,24 +938,7 @@ struct EngineState {
 
   std::uint64_t next_seq = 0;
   std::uint64_t session_msg_seq = 0;
-
-  // --- cumulative counters ---
-  std::uint64_t updates_sent = 0;
-  std::uint64_t best_flips = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t messages_duplicated = 0;
-  std::uint64_t deliveries_voided = 0;
-  std::uint64_t eor_sent = 0;
-  std::uint64_t stale_retained = 0;
-  std::uint64_t stale_swept_eor = 0;
-  std::uint64_t stale_swept_expired = 0;
-  std::uint64_t igp_swaps = 0;
-  std::uint64_t decisions_total = 0;
-  std::uint64_t decisions_empty = 0;
-  std::uint64_t mrai_deferrals = 0;
-  std::array<std::uint64_t, bgp::kSelectionRuleCount> decisions_by_rule{};
-  std::vector<std::array<std::uint64_t, bgp::kSelectionRuleCount>> decisions_by_node;
-  std::vector<std::uint64_t> flips_by_node;
+  std::vector<std::size_t> flips_by_node;
 
   // --- logs (trace hashes and continuity replay read these) ---
   std::vector<EventEngine::FlapRecord> flap_log;

@@ -161,28 +161,13 @@ Value spec_json(const InstanceSpec& spec) {
   return Value(std::move(out));
 }
 
-const Value& ckpt_field(const Value& doc, std::string_view key) {
-  const Value* v = doc.find(key);
-  if (v == nullptr) {
-    throw std::runtime_error("ibgp-explore-ckpt-v1: missing field '" + std::string(key) +
-                             "'");
-  }
-  return *v;
-}
-
-const Array& ckpt_tuple(const Value& value, std::size_t arity) {
-  const auto& arr = value.as_array();
-  if (arr.size() != arity) {
-    throw std::runtime_error("ibgp-explore-ckpt-v1: tuple arity mismatch");
-  }
-  return arr;
-}
+constexpr util::json::Reader kReader{kExploreCkptSchema};
 
 InstanceSpec parse_spec(const Value& doc) {
   InstanceSpec spec;
-  spec.name = ckpt_field(doc, "name").as_string();
-  for (const auto& entry : ckpt_field(doc, "nodes").as_array()) {
-    const auto& tuple = ckpt_tuple(entry, 4);
+  spec.name = kReader.field(doc, "name").as_string();
+  for (const auto& entry : kReader.field(doc, "nodes").as_array()) {
+    const auto& tuple = kReader.tuple(entry, 4);
     NodeSpec n;
     n.label = tuple[0].as_string();
     n.cluster = static_cast<netsim::ClusterId>(tuple[1].as_uint());
@@ -190,19 +175,19 @@ InstanceSpec parse_spec(const Value& doc) {
     n.bgp_id = static_cast<BgpId>(tuple[3].as_uint());
     spec.nodes.push_back(std::move(n));
   }
-  for (const auto& entry : ckpt_field(doc, "links").as_array()) {
-    const auto& tuple = ckpt_tuple(entry, 3);
+  for (const auto& entry : kReader.field(doc, "links").as_array()) {
+    const auto& tuple = kReader.tuple(entry, 3);
     spec.links.push_back({static_cast<NodeId>(tuple[0].as_uint()),
                           static_cast<NodeId>(tuple[1].as_uint()),
                           static_cast<Cost>(tuple[2].as_int())});
   }
-  for (const auto& entry : ckpt_field(doc, "client_sessions").as_array()) {
-    const auto& tuple = ckpt_tuple(entry, 2);
+  for (const auto& entry : kReader.field(doc, "client_sessions").as_array()) {
+    const auto& tuple = kReader.tuple(entry, 2);
     spec.client_sessions.push_back({static_cast<NodeId>(tuple[0].as_uint()),
                                     static_cast<NodeId>(tuple[1].as_uint())});
   }
-  for (const auto& entry : ckpt_field(doc, "exits").as_array()) {
-    const auto& tuple = ckpt_tuple(entry, 9);
+  for (const auto& entry : kReader.field(doc, "exits").as_array()) {
+    const auto& tuple = kReader.tuple(entry, 9);
     ExitSpec e;
     e.name = tuple[0].as_string();
     e.at = static_cast<NodeId>(tuple[1].as_uint());
@@ -215,38 +200,38 @@ InstanceSpec parse_spec(const Value& doc) {
     e.communities = static_cast<std::uint32_t>(tuple[8].as_uint());
     spec.exits.push_back(std::move(e));
   }
-  for (const auto& entry : ckpt_field(doc, "route_maps").as_array()) {
+  for (const auto& entry : kReader.field(doc, "route_maps").as_array()) {
     RouteMapSpec m;
-    m.node = static_cast<NodeId>(ckpt_field(entry, "node").as_uint());
-    const Value& match_as = ckpt_field(entry, "match_as");
+    m.node = static_cast<NodeId>(kReader.field(entry, "node").as_uint());
+    const Value& match_as = kReader.field(entry, "match_as");
     if (!match_as.is_null()) m.clause.match_as = static_cast<AsId>(match_as.as_uint());
     m.clause.match_communities =
-        static_cast<std::uint32_t>(ckpt_field(entry, "match_communities").as_uint());
-    const Value& set_lp = ckpt_field(entry, "set_local_pref");
+        static_cast<std::uint32_t>(kReader.field(entry, "match_communities").as_uint());
+    const Value& set_lp = kReader.field(entry, "set_local_pref");
     if (!set_lp.is_null()) m.clause.set_local_pref = static_cast<LocalPref>(set_lp.as_uint());
-    const Value& set_med = ckpt_field(entry, "set_med");
+    const Value& set_med = kReader.field(entry, "set_med");
     if (!set_med.is_null()) m.clause.set_med = static_cast<Med>(set_med.as_uint());
     m.clause.add_communities =
-        static_cast<std::uint32_t>(ckpt_field(entry, "add_communities").as_uint());
+        static_cast<std::uint32_t>(kReader.field(entry, "add_communities").as_uint());
     spec.route_maps.push_back(std::move(m));
   }
-  const Value& policy = ckpt_field(doc, "policy");
+  const Value& policy = kReader.field(doc, "policy");
   {
-    const std::uint64_t order = ckpt_field(policy, "order").as_uint();
+    const std::uint64_t order = kReader.field(policy, "order").as_uint();
     if (order > static_cast<std::uint64_t>(bgp::RuleOrder::kIgpCostFirst)) {
-      throw std::runtime_error("ibgp-explore-ckpt-v1: policy order out of range");
+      kReader.fail("policy order out of range");
     }
     spec.policy.order = static_cast<bgp::RuleOrder>(order);
-    const std::uint64_t med = ckpt_field(policy, "med").as_uint();
+    const std::uint64_t med = kReader.field(policy, "med").as_uint();
     if (med > static_cast<std::uint64_t>(bgp::MedMode::kIgnore)) {
-      throw std::runtime_error("ibgp-explore-ckpt-v1: policy med mode out of range");
+      kReader.fail("policy med mode out of range");
     }
     spec.policy.med = static_cast<bgp::MedMode>(med);
-    for (const auto& entry : ckpt_field(policy, "med_overrides").as_array()) {
-      const auto& tuple = ckpt_tuple(entry, 2);
+    for (const auto& entry : kReader.field(policy, "med_overrides").as_array()) {
+      const auto& tuple = kReader.tuple(entry, 2);
       const std::uint64_t mode = tuple[1].as_uint();
       if (mode > static_cast<std::uint64_t>(bgp::MedMode::kIgnore)) {
-        throw std::runtime_error("ibgp-explore-ckpt-v1: override med mode out of range");
+        kReader.fail("override med mode out of range");
       }
       spec.policy.med_overrides.push_back(
           {static_cast<AsId>(tuple[0].as_uint()), static_cast<bgp::MedMode>(mode)});
@@ -331,43 +316,43 @@ bool load_explore_checkpoint(const ExploreConfig& config, ExploreResult& result,
     // Identity guard on the determinism-critical parameters (budget is
     // deliberately NOT guarded: resuming with a larger budget extends the
     // very same search).
-    if (ckpt_field(*doc, "seed").as_uint() != config.seed) return false;
-    if (ckpt_field(*doc, "attack").as_string() != core::protocol_name(config.attack)) {
+    if (kReader.field(*doc, "seed").as_uint() != config.seed) return false;
+    if (kReader.field(*doc, "attack").as_string() != core::protocol_name(config.attack)) {
       return false;
     }
-    if (ckpt_field(*doc, "batch").as_uint() != config.batch) return false;
+    if (kReader.field(*doc, "batch").as_uint() != config.batch) return false;
 
-    round = ckpt_field(*doc, "round").as_uint();
-    const Value& stats = ckpt_field(*doc, "stats");
-    result.stats.evaluated = ckpt_field(stats, "evaluated").as_uint();
-    result.stats.invalid = ckpt_field(stats, "invalid").as_uint();
-    result.stats.truncated_runs = ckpt_field(stats, "truncated_runs").as_uint();
-    result.stats.new_coverage = ckpt_field(stats, "new_coverage").as_uint();
-    result.stats.hits_raw = ckpt_field(stats, "hits_raw").as_uint();
-    result.stats.theorem_violations = ckpt_field(stats, "theorem_violations").as_uint();
-    for (const auto& entry : ckpt_field(*doc, "frontier").as_array()) {
+    round = kReader.field(*doc, "round").as_uint();
+    const Value& stats = kReader.field(*doc, "stats");
+    result.stats.evaluated = kReader.field(stats, "evaluated").as_uint();
+    result.stats.invalid = kReader.field(stats, "invalid").as_uint();
+    result.stats.truncated_runs = kReader.field(stats, "truncated_runs").as_uint();
+    result.stats.new_coverage = kReader.field(stats, "new_coverage").as_uint();
+    result.stats.hits_raw = kReader.field(stats, "hits_raw").as_uint();
+    result.stats.theorem_violations = kReader.field(stats, "theorem_violations").as_uint();
+    for (const auto& entry : kReader.field(*doc, "frontier").as_array()) {
       FrontierItem item;
-      item.hybrid = ckpt_field(entry, "hybrid").as_bool();
-      item.spec = parse_spec(ckpt_field(entry, "spec"));
+      item.hybrid = kReader.field(entry, "hybrid").as_bool();
+      item.spec = parse_spec(kReader.field(entry, "spec"));
       frontier.push_back(std::move(item));
     }
-    for (const auto& v : ckpt_field(*doc, "seen_coverage").as_array()) {
+    for (const auto& v : kReader.field(*doc, "seen_coverage").as_array()) {
       seen_coverage.insert(v.as_uint());
     }
-    for (const auto& v : ckpt_field(*doc, "seen_hits").as_array()) {
+    for (const auto& v : kReader.field(*doc, "seen_hits").as_array()) {
       seen_hits.insert(v.as_uint());
     }
-    for (const auto& entry : ckpt_field(*doc, "hits").as_array()) {
+    for (const auto& entry : kReader.field(*doc, "hits").as_array()) {
       ExploreHit hit;
-      hit.hybrid = ckpt_field(entry, "hybrid").as_bool();
-      hit.med_induced = ckpt_field(entry, "med_induced").as_bool();
-      hit.fingerprint = ckpt_field(entry, "fingerprint").as_uint();
-      hit.spec = parse_spec(ckpt_field(entry, "spec"));
+      hit.hybrid = kReader.field(entry, "hybrid").as_bool();
+      hit.med_induced = kReader.field(entry, "med_induced").as_bool();
+      hit.fingerprint = kReader.field(entry, "fingerprint").as_uint();
+      hit.spec = parse_spec(kReader.field(entry, "spec"));
       // The signature is recomputed, not stored: classify() is a pure
       // function of the spec, and recomputing keeps the checkpoint free of
       // analysis-internal shapes.
       const auto inst = try_build(hit.spec);
-      if (!inst) throw std::runtime_error("ibgp-explore-ckpt-v1: unbuildable hit spec");
+      if (!inst) kReader.fail("unbuildable hit spec");
       hit.signature = analysis::classify(*inst, config.attack, config.max_steps);
       result.hits.push_back(std::move(hit));
     }

@@ -23,20 +23,7 @@ const std::vector<std::int64_t> kCellWallBoundsUs = {100,    300,    1'000,   3'
 
 // --- CampaignResult round-trip ----------------------------------------------
 
-template <typename T>
-Array num_array(const std::vector<T>& values) {
-  Array out;
-  out.reserve(values.size());
-  for (const auto v : values) out.emplace_back(static_cast<std::uint64_t>(v));
-  return out;
-}
-
-Array rule_array(const std::array<std::uint64_t, bgp::kSelectionRuleCount>& rules) {
-  Array out;
-  out.reserve(rules.size());
-  for (const auto v : rules) out.emplace_back(v);
-  return out;
-}
+constexpr util::json::Reader kReader{kJournalSchema};
 
 Object run_json(const engine::EventEngine::Result& run) {
   Object out;
@@ -46,27 +33,18 @@ Object run_json(const engine::EventEngine::Result& run) {
   out.emplace_back("faults_pending", run.faults_pending);
   out.emplace_back("next_fault_time", run.next_fault_time);
   out.emplace_back("deliveries", run.deliveries);
-  out.emplace_back("updates_sent", run.updates_sent);
   out.emplace_back("end_time", run.end_time);
-  out.emplace_back("best_flips", run.best_flips);
-  out.emplace_back("final_best", num_array(run.final_best));
-  out.emplace_back("messages_dropped", run.messages_dropped);
-  out.emplace_back("messages_duplicated", run.messages_duplicated);
-  out.emplace_back("deliveries_voided", run.deliveries_voided);
-  out.emplace_back("faults_applied", run.faults_applied);
-  out.emplace_back("eor_markers_sent", run.eor_markers_sent);
-  out.emplace_back("stale_retained", run.stale_retained);
-  out.emplace_back("stale_swept_eor", run.stale_swept_eor);
-  out.emplace_back("stale_swept_expired", run.stale_swept_expired);
-  out.emplace_back("igp_epoch_swaps", run.igp_epoch_swaps);
-  out.emplace_back("decisions_total", run.decisions_total);
-  out.emplace_back("decisions_empty", run.decisions_empty);
-  out.emplace_back("mrai_deferrals", run.mrai_deferrals);
-  out.emplace_back("decisions_by_rule", rule_array(run.decisions_by_rule));
+  out.emplace_back("final_best", util::json::num_array(run.final_best));
+  for (const engine::CounterField& field : engine::kEngineCounters) {
+    out.emplace_back(field.name, run.*field.member);
+  }
+  out.emplace_back("decisions_by_rule", util::json::num_array(run.decisions_by_rule));
   {
     Array by_node;
     by_node.reserve(run.decisions_by_node.size());
-    for (const auto& rules : run.decisions_by_node) by_node.emplace_back(rule_array(rules));
+    for (const auto& rules : run.decisions_by_node) {
+      by_node.emplace_back(util::json::num_array(rules));
+    }
     out.emplace_back("decisions_by_node", std::move(by_node));
   }
   return out;
@@ -121,65 +99,25 @@ Object continuity_json(const analysis::ContinuityReport& cont) {
   return out;
 }
 
-[[noreturn]] void bad(const std::string& what) {
-  throw std::runtime_error("ibgp-journal-v1: " + what);
-}
-
-const Value& field(const Value& doc, std::string_view key) {
-  const Value* v = doc.find(key);
-  if (v == nullptr) bad("missing field '" + std::string(key) + "'");
-  return *v;
-}
-
-std::uint64_t get_uint(const Value& doc, std::string_view key) {
-  try {
-    return field(doc, key).as_uint();
-  } catch (const std::runtime_error&) {
-    bad("field '" + std::string(key) + "' is not a non-negative integer");
-  }
-}
-
-template <typename T>
-std::vector<T> get_nums(const Value& doc, std::string_view key) {
-  std::vector<T> out;
-  for (const auto& v : field(doc, key).as_array()) out.push_back(static_cast<T>(v.as_uint()));
-  return out;
-}
-
 std::array<std::uint64_t, bgp::kSelectionRuleCount> get_rules(const Value& value) {
-  const auto& arr = value.as_array();
-  if (arr.size() != bgp::kSelectionRuleCount) bad("selection-rule histogram length mismatch");
-  std::array<std::uint64_t, bgp::kSelectionRuleCount> out{};
-  for (std::size_t i = 0; i < arr.size(); ++i) out[i] = arr[i].as_uint();
-  return out;
+  return kReader.uints<bgp::kSelectionRuleCount>(value, "selection-rule histogram");
 }
 
 engine::EventEngine::Result parse_run(const Value& doc) {
   engine::EventEngine::Result run;
-  run.converged = field(doc, "converged").as_bool();
-  run.budget_exhausted = field(doc, "budget_exhausted").as_bool();
-  run.events_pending = get_uint(doc, "events_pending");
-  run.faults_pending = get_uint(doc, "faults_pending");
-  run.next_fault_time = get_uint(doc, "next_fault_time");
-  run.deliveries = get_uint(doc, "deliveries");
-  run.updates_sent = get_uint(doc, "updates_sent");
-  run.end_time = get_uint(doc, "end_time");
-  run.best_flips = get_uint(doc, "best_flips");
-  run.final_best = get_nums<PathId>(doc, "final_best");
-  run.messages_dropped = get_uint(doc, "messages_dropped");
-  run.messages_duplicated = get_uint(doc, "messages_duplicated");
-  run.deliveries_voided = get_uint(doc, "deliveries_voided");
-  run.faults_applied = get_uint(doc, "faults_applied");
-  run.eor_markers_sent = get_uint(doc, "eor_markers_sent");
-  run.stale_retained = get_uint(doc, "stale_retained");
-  run.stale_swept_eor = get_uint(doc, "stale_swept_eor");
-  run.stale_swept_expired = get_uint(doc, "stale_swept_expired");
-  run.igp_epoch_swaps = get_uint(doc, "igp_epoch_swaps");
-  run.decisions_total = get_uint(doc, "decisions_total");
-  run.decisions_empty = get_uint(doc, "decisions_empty");
-  run.mrai_deferrals = get_uint(doc, "mrai_deferrals");
-  run.decisions_by_rule = get_rules(field(doc, "decisions_by_rule"));
-  for (const auto& rules : field(doc, "decisions_by_node").as_array()) {
+  run.converged = kReader.field(doc, "converged").as_bool();
+  run.budget_exhausted = kReader.field(doc, "budget_exhausted").as_bool();
+  run.events_pending = kReader.get_uint(doc, "events_pending");
+  run.faults_pending = kReader.get_uint(doc, "faults_pending");
+  run.next_fault_time = kReader.get_uint(doc, "next_fault_time");
+  run.deliveries = kReader.get_uint(doc, "deliveries");
+  run.end_time = kReader.get_uint(doc, "end_time");
+  run.final_best = util::json::nums<PathId>(kReader.field(doc, "final_best"));
+  for (const engine::CounterField& field : engine::kEngineCounters) {
+    run.*field.member = kReader.get_uint(doc, field.name);
+  }
+  run.decisions_by_rule = get_rules(kReader.field(doc, "decisions_by_rule"));
+  for (const auto& rules : kReader.field(doc, "decisions_by_node").as_array()) {
     run.decisions_by_node.push_back(get_rules(rules));
   }
   return run;
@@ -187,15 +125,15 @@ engine::EventEngine::Result parse_run(const Value& doc) {
 
 analysis::InvariantReport parse_invariants(const Value& doc) {
   analysis::InvariantReport inv;
-  inv.stale_best = get_uint(doc, "stale_best");
-  inv.unsupported_best = get_uint(doc, "unsupported_best");
-  inv.stale_rib_entries = get_uint(doc, "stale_rib_entries");
-  inv.missing_rib_entries = get_uint(doc, "missing_rib_entries");
-  inv.forwarding_loops = get_uint(doc, "forwarding_loops");
-  inv.unswept_stale = get_uint(doc, "unswept_stale");
-  inv.igp_mismatch = get_uint(doc, "igp_mismatch");
-  inv.stale_retained = get_uint(doc, "stale_retained");
-  for (const auto& v : field(doc, "violations").as_array()) {
+  inv.stale_best = kReader.get_uint(doc, "stale_best");
+  inv.unsupported_best = kReader.get_uint(doc, "unsupported_best");
+  inv.stale_rib_entries = kReader.get_uint(doc, "stale_rib_entries");
+  inv.missing_rib_entries = kReader.get_uint(doc, "missing_rib_entries");
+  inv.forwarding_loops = kReader.get_uint(doc, "forwarding_loops");
+  inv.unswept_stale = kReader.get_uint(doc, "unswept_stale");
+  inv.igp_mismatch = kReader.get_uint(doc, "igp_mismatch");
+  inv.stale_retained = kReader.get_uint(doc, "stale_retained");
+  for (const auto& v : kReader.field(doc, "violations").as_array()) {
     inv.violations.push_back(v.as_string());
   }
   return inv;
@@ -203,23 +141,23 @@ analysis::InvariantReport parse_invariants(const Value& doc) {
 
 analysis::ContinuityReport parse_continuity(const Value& doc) {
   analysis::ContinuityReport cont;
-  cont.horizon = get_uint(doc, "horizon");
-  cont.intervals = get_uint(doc, "intervals");
-  cont.ok_ticks = get_uint(doc, "ok_ticks");
-  cont.stale_ticks = get_uint(doc, "stale_ticks");
-  cont.blackhole_ticks = get_uint(doc, "blackhole_ticks");
-  cont.loop_ticks = get_uint(doc, "loop_ticks");
-  cont.deflection_ticks = get_uint(doc, "deflection_ticks");
-  cont.max_blackhole_window = get_uint(doc, "max_blackhole_window");
-  cont.max_deflection_window = get_uint(doc, "max_deflection_window");
-  for (const auto& entry : field(doc, "churn_events").as_array()) {
+  cont.horizon = kReader.get_uint(doc, "horizon");
+  cont.intervals = kReader.get_uint(doc, "intervals");
+  cont.ok_ticks = kReader.get_uint(doc, "ok_ticks");
+  cont.stale_ticks = kReader.get_uint(doc, "stale_ticks");
+  cont.blackhole_ticks = kReader.get_uint(doc, "blackhole_ticks");
+  cont.loop_ticks = kReader.get_uint(doc, "loop_ticks");
+  cont.deflection_ticks = kReader.get_uint(doc, "deflection_ticks");
+  cont.max_blackhole_window = kReader.get_uint(doc, "max_blackhole_window");
+  cont.max_deflection_window = kReader.get_uint(doc, "max_deflection_window");
+  for (const auto& entry : kReader.field(doc, "churn_events").as_array()) {
     const auto& tuple = entry.as_array();
-    if (tuple.size() != 7) bad("churn_events entry: expected 7 elements");
+    if (tuple.size() != 7) kReader.fail("churn_events entry: expected 7 elements");
     analysis::ChurnEventCost e;
     e.time = tuple[0].as_uint();
     const std::uint64_t kind = tuple[1].as_uint();
     if (kind > static_cast<std::uint64_t>(engine::FaultKind::kLinkUp)) {
-      bad("churn_events entry kind out of range");
+      kReader.fail("churn_events entry kind out of range");
     }
     e.kind = static_cast<engine::FaultKind>(kind);
     e.a = static_cast<NodeId>(tuple[2].as_uint());
@@ -258,19 +196,15 @@ util::json::Value journal_cell_json(std::size_t index, const SweepCell& cell,
 }
 
 CampaignResult parse_journal_cell(const util::json::Value& doc) {
-  if (!doc.is_object()) bad("document is not an object");
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() || schema->as_string() != kJournalSchema) {
-    bad("schema mismatch (want '" + std::string(kJournalSchema) + "')");
-  }
+  kReader.check_schema(doc);
   CampaignResult result;
-  result.trace_hash = get_uint(doc, "trace_hash");
-  result.last_fault_time = get_uint(doc, "last_fault_time");
-  const Value& settle = field(doc, "settle_time");
+  result.trace_hash = kReader.get_uint(doc, "trace_hash");
+  result.last_fault_time = kReader.get_uint(doc, "last_fault_time");
+  const Value& settle = kReader.field(doc, "settle_time");
   if (!settle.is_null()) result.settle_time = settle.as_uint();
-  result.run = parse_run(field(doc, "run"));
-  result.invariants = parse_invariants(field(doc, "invariants"));
-  result.continuity = parse_continuity(field(doc, "continuity"));
+  result.run = parse_run(kReader.field(doc, "run"));
+  result.invariants = parse_invariants(kReader.field(doc, "invariants"));
+  result.continuity = parse_continuity(kReader.field(doc, "continuity"));
   return result;
 }
 
@@ -290,13 +224,13 @@ std::optional<CampaignResult> load_journal_cell(const std::string& journal_dir,
   try {
     // Identity guard: a journal written for a different sweep layout (cells
     // reordered, reseeded, re-protocoled) must not masquerade as this cell.
-    if (field(*doc, "index").as_uint() != index) return std::nullopt;
-    if (field(*doc, "group").as_string() != cell.group) return std::nullopt;
-    if (field(*doc, "seed").as_uint() != cell.seed) return std::nullopt;
-    if (field(*doc, "protocol").as_string() != core::protocol_name(cell.protocol)) {
+    if (kReader.field(*doc, "index").as_uint() != index) return std::nullopt;
+    if (kReader.field(*doc, "group").as_string() != cell.group) return std::nullopt;
+    if (kReader.field(*doc, "seed").as_uint() != cell.seed) return std::nullopt;
+    if (kReader.field(*doc, "protocol").as_string() != core::protocol_name(cell.protocol)) {
       return std::nullopt;
     }
-    if (field(*doc, "instance").as_string() != cell.instance->name()) return std::nullopt;
+    if (kReader.field(*doc, "instance").as_string() != cell.instance->name()) return std::nullopt;
     return parse_journal_cell(*doc);
   } catch (const std::runtime_error&) {
     return std::nullopt;

@@ -1,15 +1,13 @@
 #include "util/json.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+
+#include "util/fileio.hpp"
 
 namespace ibgp::util::json {
 
@@ -161,70 +159,8 @@ bool write_file(const std::string& path, const Value& value) {
   return (std::fclose(file) == 0) && ok;
 }
 
-namespace {
-
-// write(2) the whole buffer, retrying short writes and EINTR.
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t got = ::write(fd, data + done, size - done);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-int open_retry(const char* path, int flags, mode_t mode = 0) {
-  int fd = -1;
-  do {
-    fd = ::open(path, flags, mode);
-  } while (fd < 0 && errno == EINTR);
-  return fd;
-}
-
-bool fsync_retry(int fd) {
-  int rc = -1;
-  do {
-    rc = ::fsync(fd);
-  } while (rc < 0 && errno == EINTR);
-  return rc == 0;
-}
-
-// fsync the directory holding `path` so a completed rename survives power
-// loss.  Best effort: some filesystems refuse O_RDONLY directory fds, and a
-// failure here leaves the file itself already complete and renamed.
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = open_retry(dir.c_str(), O_RDONLY);
-  if (fd < 0) return;
-  fsync_retry(fd);
-  ::close(fd);
-}
-
-}  // namespace
-
 bool write_file_atomic(const std::string& path, const Value& value) {
-  const std::string tmp = path + ".tmp";
-  const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const std::string text = value.dump();
-  bool ok = write_all(fd, text.data(), text.size());
-  ok = fsync_retry(fd) && ok;
-  ok = (::close(fd) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  fsync_parent_dir(path);
-  return true;
+  return fileio::write_file_atomic(path, value.dump());
 }
 
 // --- typed accessors ---
@@ -612,6 +548,44 @@ std::optional<Value> read_file(const std::string& path, std::string* error) {
   auto value = parse(text, &parse_error);
   if (!value && error != nullptr) *error = path + ": " + parse_error;
   return value;
+}
+
+// --- versioned documents ---
+
+void Reader::fail(const std::string& what) const {
+  throw std::runtime_error(std::string(tag_) + ": " + what);
+}
+
+void Reader::check_schema(const Value& doc) const {
+  if (!doc.is_object()) fail("document is not an object");
+  const Value* schema = doc.find("schema");
+  if (schema == nullptr || !schema->is_string() || schema->as_string() != tag_) {
+    fail("schema mismatch (want '" + std::string(tag_) + "')");
+  }
+}
+
+const Value& Reader::field(const Value& doc, std::string_view key) const {
+  const Value* v = doc.find(key);
+  if (v == nullptr) fail("missing field '" + std::string(key) + "'");
+  return *v;
+}
+
+std::uint64_t Reader::get_uint(const Value& doc, std::string_view key) const {
+  try {
+    return field(doc, key).as_uint();
+  } catch (const std::runtime_error&) {
+    fail("field '" + std::string(key) + "' is not a non-negative integer");
+  }
+}
+
+const Array& Reader::tuple(const Value& value, std::size_t arity, std::string_view what) const {
+  const Array& values = value.as_array();
+  if (values.size() != arity) {
+    if (what.empty()) fail("tuple arity mismatch");
+    fail(std::string(what) + ": expected " + std::to_string(arity) + " elements, got " +
+         std::to_string(values.size()));
+  }
+  return values;
 }
 
 }  // namespace ibgp::util::json

@@ -10,11 +10,14 @@
 // too — the parser accepts exactly what the builder emits (plus arbitrary
 // standard JSON) and rejects everything else with a position diagnostic.
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -138,5 +141,82 @@ std::optional<Value> parse(std::string_view text, const ParseOptions& options,
 /// Reads and parses a whole file.  std::nullopt on open/read/parse failure
 /// (diagnostic includes the path when `error` is non-null).
 std::optional<Value> read_file(const std::string& path, std::string* error = nullptr);
+
+// --- versioned documents ------------------------------------------------------
+
+/// Field readers for one versioned document format (ibgp-ckpt-v1,
+/// ibgp-journal-v1, ...).  Every diagnostic is a std::runtime_error whose
+/// text starts with the format tag ("ibgp-ckpt-v1: missing field 'mrai'"),
+/// so one set of readers serves every format and still names the document
+/// that was bad.
+class Reader {
+ public:
+  constexpr explicit Reader(std::string_view tag) : tag_(tag) {}
+
+  /// Throws std::runtime_error("<tag>: <what>").
+  [[noreturn]] void fail(const std::string& what) const;
+
+  /// Requires `doc` to be an object whose "schema" member is the tag.
+  void check_schema(const Value& doc) const;
+
+  /// The member `key` of `doc` ("missing field 'key'" when absent).
+  [[nodiscard]] const Value& field(const Value& doc, std::string_view key) const;
+
+  /// field(doc, key) as a non-negative integer.
+  [[nodiscard]] std::uint64_t get_uint(const Value& doc, std::string_view key) const;
+
+  /// `value` as an array of exactly `arity` elements.  The diagnostic is
+  /// "<what>: expected N elements, got M", or "tuple arity mismatch" when
+  /// `what` is empty.
+  [[nodiscard]] const Array& tuple(const Value& value, std::size_t arity,
+                                   std::string_view what = {}) const;
+
+  /// `value` as exactly N non-negative integers ("<what> length mismatch").
+  template <std::size_t N>
+  [[nodiscard]] std::array<std::uint64_t, N> uints(const Value& value,
+                                                   std::string_view what) const {
+    const Array& values = value.as_array();
+    if (values.size() != N) fail(std::string(what) + " length mismatch");
+    std::array<std::uint64_t, N> out{};
+    for (std::size_t i = 0; i < N; ++i) out[i] = values[i].as_uint();
+    return out;
+  }
+
+ private:
+  std::string_view tag_;
+};
+
+/// Integers (or bools, as 0/1) as a JSON array: signed element types are
+/// written as int64, unsigned ones as uint64.
+template <typename Range>
+Array num_array(const Range& values) {
+  Array out;
+  out.reserve(std::size(values));
+  for (const auto v : values) {
+    if constexpr (std::is_signed_v<decltype(v)>) {
+      out.emplace_back(static_cast<std::int64_t>(v));
+    } else {
+      out.emplace_back(static_cast<std::uint64_t>(v));
+    }
+  }
+  return out;
+}
+
+/// Inverse of num_array: each element read with the accessor matching T's
+/// signedness, then narrowed to T.
+template <typename T>
+std::vector<T> nums(const Value& array) {
+  const Array& values = array.as_array();
+  std::vector<T> out;
+  out.reserve(values.size());
+  for (const auto& v : values) {
+    if constexpr (std::is_signed_v<T>) {
+      out.push_back(static_cast<T>(v.as_int()));
+    } else {
+      out.push_back(static_cast<T>(v.as_uint()));
+    }
+  }
+  return out;
+}
 
 }  // namespace ibgp::util::json

@@ -17,7 +17,7 @@
 
 namespace ibgp::reference {
 
-using NodeSnapshot = engine::EngineState::NodeSnapshot;
+using NodeSnapshot = engine::NodeState;
 
 /// The peer whose copy of p the node has attributed (lowest BGP id holder,
 /// first in node order on a tie), or kNoNode when nobody holds p.

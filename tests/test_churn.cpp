@@ -227,7 +227,7 @@ TEST(Churn, MraiFlushDoesNotLeakAcrossSessionReset) {
   ASSERT_TRUE(result.converged);
 
   // The stale flush (and any in-flight updates) died with the old epoch.
-  EXPECT_GE(engine.deliveries_voided(), 1u);
+  EXPECT_GE(engine.counters().deliveries_voided, 1u);
   // The re-established session carries exactly the baseline state: same
   // fixed point, consistent RIBs, no duplicate or stale advertisement.
   EXPECT_EQ(result.final_best, base_result.final_best);

@@ -19,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,6 +325,271 @@ TEST(CkptFormat, RestoreRefusesMismatchedProtocol) {
   const auto state = sample_state();  // captured under kModified
   engine::EventEngine engine(inst, ProtocolKind::kStandard);
   EXPECT_THROW(engine.restore(state), std::runtime_error);
+}
+
+// --- golden ibgp-ckpt-v1 file ------------------------------------------------------
+//
+// tests/data/ckpt_v1_fig1a_golden.json was written by an earlier build: the
+// campaign below, checkpointed after 17 deliveries.  At that point c1 is
+// inside a graceful restart, two MRAI holds are open with a flush pending,
+// one IGP epoch swap has happened, a dropped message has armed a repair
+// reset, and ten different event kinds are queued.
+
+// fig1a: A=0 c1=1 c2=2 B=3 c3=4.
+FaultScript golden_script() {
+  using Kind = FaultAction::Kind;
+  FaultScript script;
+  script.seed = 77;
+  script.loss_prob = 0.08;
+  script.dup_prob = 0.08;
+  script.loss_detect_delay = 25;
+  script.repair_downtime = 10;
+  script.stale_timer = 120;
+  script.actions = {
+      {4, Kind::kLinkCostChange, 0, 4, kNoPath, 20},
+      {9, Kind::kGracefulDown, 1, kNoNode, kNoPath, 0},
+      {14, Kind::kExitWithdraw, kNoNode, kNoNode, 1, 0},
+      {18, Kind::kSessionDown, 0, 3, kNoPath, 0},
+      {40, Kind::kSessionUp, 0, 3, kNoPath, 0},
+      {60, Kind::kRestart, 1, kNoNode, kNoPath, 0},
+      {70, Kind::kExitInject, kNoNode, kNoNode, 1, 0},
+      {80, Kind::kLinkDown, 3, 4, kNoPath, 0},
+      {95, Kind::kLinkUp, 3, 4, kNoPath, 0},
+  };
+  return script;
+}
+
+CampaignOptions golden_options() {
+  CampaignOptions options;
+  options.mrai = 6;
+  options.delay = [](NodeId from, NodeId to, std::uint64_t seq) -> engine::SimTime {
+    return 1 + (from * 7 + to * 3 + seq) % 4;
+  };
+  return options;
+}
+
+util::json::Value golden_doc() {
+  std::string error;
+  auto doc = util::json::read_file(IBGP_CKPT_GOLDEN, &error);
+  if (!doc) throw std::runtime_error(error);
+  return *std::move(doc);
+}
+
+// Dumps `value` with every object's keys sorted, so two documents compare
+// equal exactly when they hold the same keys and values.
+std::string canonical(const util::json::Value& value) {
+  if (value.is_object()) {
+    auto members = value.as_object();
+    std::sort(members.begin(), members.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::string out = "{";
+    for (const auto& [key, member] : members) {
+      out += util::json::escape(key) + ":" + canonical(member) + ",";
+    }
+    return out + "}";
+  }
+  if (value.is_array()) {
+    std::string out = "[";
+    for (const auto& element : value.as_array()) out += canonical(element) + ",";
+    return out + "]";
+  }
+  return value.dump_compact();
+}
+
+TEST(CkptGolden, EarlierBuildsV1FileResumesToTheUninterruptedRun) {
+  const auto inst = topo::fig1a();
+  const auto state = ckpt::parse_engine_state(golden_doc());
+  EXPECT_EQ(state.deliveries, 17u);
+
+  const auto full = run_campaign(inst, ProtocolKind::kModified, golden_script(), golden_options());
+  EXPECT_TRUE(full.reconverged());
+  EXPECT_EQ(full.trace_hash, 0xdbee737461eda3c8u);
+  const auto resumed =
+      resume_campaign(inst, ProtocolKind::kModified, golden_script(), state, golden_options());
+  expect_same_outcome(resumed, full);
+}
+
+TEST(CkptGolden, CaptureAfterRestoreReencodesTheSameKeysAndValues) {
+  const auto inst = topo::fig1a();
+  const auto doc = golden_doc();
+  engine::EventEngine engine(inst, ProtocolKind::kModified, golden_options().delay);
+  engine.restore(ckpt::parse_engine_state(doc));
+  EXPECT_EQ(canonical(ckpt::engine_state_json(engine.capture())), canonical(doc));
+}
+
+// --- restore validation ------------------------------------------------------------
+//
+// Each case corrupts one id inside the golden state and expects restore to
+// refuse it with a diagnostic naming the field, instead of running on (or
+// indexing out of bounds on the next run()).
+
+engine::EngineState golden_state() { return ckpt::parse_engine_state(golden_doc()); }
+
+void expect_rejected(const engine::EngineState& state, const std::string& field) {
+  const auto inst = topo::fig1a();
+  engine::EventEngine engine(inst, ProtocolKind::kModified);
+  try {
+    engine.restore(state);
+    ADD_FAILURE() << "restore accepted a corrupt " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+// The first pending event of `kind`.
+engine::Event& pending(engine::EngineState& state, engine::EventKind kind) {
+  const auto it = std::find_if(state.queue.begin(), state.queue.end(),
+                               [&](const engine::Event& e) { return e.kind == kind; });
+  if (it == state.queue.end()) throw std::logic_error("golden queue lacks the kind");
+  return *it;
+}
+
+using engine::EventKind;
+
+TEST(CkptRestore, GoldenStateIsAccepted) {
+  const auto inst = topo::fig1a();
+  engine::EventEngine engine(inst, ProtocolKind::kModified);
+  EXPECT_NO_THROW(engine.restore(golden_state()));
+}
+
+TEST(CkptRestore, RejectsAnUpdateToANodeOutOfRange) {
+  auto state = golden_state();
+  pending(state, EventKind::kUpdate).to = 99;
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsAnUpdateForAPathOutOfRange) {
+  auto state = golden_state();
+  pending(state, EventKind::kUpdate).path = 99;
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsAnAnnounceForAPathOutOfRange) {
+  auto state = golden_state();
+  pending(state, EventKind::kEbgpAnnounce).path = 99;
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsAnAnnounceAwayFromItsExitPoint) {
+  auto state = golden_state();
+  pending(state, EventKind::kEbgpAnnounce).to = 0;  // r2 exits at c2
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsAnUpdateOverANonSession) {
+  auto state = golden_state();
+  auto& event = pending(state, EventKind::kUpdate);
+  event.from = 1;  // c1 and c3 share no session
+  event.to = 4;
+  expect_rejected(state, "not a session");
+}
+
+TEST(CkptRestore, RejectsAFlushOverANonSession) {
+  auto state = golden_state();
+  auto& event = pending(state, EventKind::kMraiFlush);
+  event.from = 1;
+  event.to = 2;
+  expect_rejected(state, "not a session");
+}
+
+TEST(CkptRestore, RejectsAnEndOfRibOverANonSession) {
+  auto state = golden_state();
+  auto& event = pending(state, EventKind::kUpdate);
+  event.kind = EventKind::kEndOfRib;
+  event.from = 4;
+  event.to = 1;
+  expect_rejected(state, "not a session");
+}
+
+TEST(CkptRestore, RejectsARestartOfANodeOutOfRange) {
+  auto state = golden_state();
+  pending(state, EventKind::kRestart).from = 99;
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsAStaleTimerOfANodeOutOfRange) {
+  auto state = golden_state();
+  pending(state, EventKind::kStaleExpire).from = 5;
+  expect_rejected(state, "queue");
+}
+
+TEST(CkptRestore, RejectsALinkFaultOnANonLink) {
+  auto state = golden_state();
+  auto& event = pending(state, EventKind::kLinkDown);
+  event.from = 1;  // c1 and c2 share no physical link
+  event.to = 2;
+  expect_rejected(state, "not a link");
+}
+
+TEST(CkptRestore, RejectsALinkCostChangeToANonPositiveCost) {
+  auto state = golden_state();
+  auto& event = pending(state, EventKind::kLinkDown);
+  event.kind = EventKind::kLinkCostChange;
+  event.cost = 0;
+  expect_rejected(state, "positive finite metric");
+}
+
+TEST(CkptRestore, RejectsAHolderThatIsNotASessionPeer) {
+  auto state = golden_state();
+  state.nodes[1].holders[0] = {4};  // c3 is no peer of c1
+  expect_rejected(state, "holders");
+}
+
+TEST(CkptRestore, RejectsHoldersOutOfOrder) {
+  auto state = golden_state();
+  state.nodes[0].holders[2] = {3, 1};
+  expect_rejected(state, "holders");
+}
+
+TEST(CkptRestore, RejectsAStaleEntryThatIsNotASessionPeer) {
+  auto state = golden_state();
+  state.nodes[2].stale[0] = {3};  // B is no peer of c2
+  expect_rejected(state, "stale");
+}
+
+TEST(CkptRestore, RejectsAnAdvertisedPathOutOfRange) {
+  auto state = golden_state();
+  state.nodes[0].advertised_out[0] = {0, 7};
+  expect_rejected(state, "advertised_out");
+}
+
+TEST(CkptRestore, RejectsDesiredPathsOutOfOrder) {
+  auto state = golden_state();
+  state.nodes[0].desired_out[1] = {2, 0};
+  expect_rejected(state, "desired_out");
+}
+
+TEST(CkptRestore, RejectsABestPathOutOfRange) {
+  auto state = golden_state();
+  ASSERT_TRUE(state.nodes[0].best.has_value());
+  state.nodes[0].best->path = 3;
+  expect_rejected(state, "best");
+}
+
+TEST(CkptRestore, RejectsAFibPathOutOfRange) {
+  auto state = golden_state();
+  state.fib[2] = 3;
+  expect_rejected(state, "fib");
+}
+
+TEST(CkptRestore, RejectsAFibLogPathOutOfRange) {
+  auto state = golden_state();
+  ASSERT_FALSE(state.fib_log.empty());
+  state.fib_log.back().new_path = 40;
+  expect_rejected(state, "fib_log");
+}
+
+TEST(CkptRestore, RejectsAFibLogNodeOutOfRange) {
+  auto state = golden_state();
+  ASSERT_FALSE(state.fib_log.empty());
+  state.fib_log.front().node = 5;
+  expect_rejected(state, "fib_log");
+}
+
+TEST(CkptRestore, RejectsAFaultsAppliedCountOffTheFaultLog) {
+  auto state = golden_state();
+  state.faults_applied += 1;
+  expect_rejected(state, "faults_applied");
 }
 
 // --- supervisor --------------------------------------------------------------------

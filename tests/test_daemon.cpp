@@ -400,6 +400,24 @@ TEST(DaemonRecovery, ResumeRefusesAForeignStateDir) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DaemonRecovery, ResumeRefusesAJournalItCannotRead) {
+  // A read error must not pass for the end of the journal: recovery would
+  // replay a prefix and truncate acknowledged records away.  A directory in
+  // the journal's place opens fine but fails every read.
+  const auto dir = fresh_state_dir("unreadable");
+  std::filesystem::create_directory(dir / "wal.jsonl");
+  DaemonOptions options;
+  options.state_dir = dir.string();
+  options.resume = true;
+  try {
+    Daemon daemon(fig1a_shared(), ProtocolKind::kModified, options);
+    ADD_FAILURE() << "resume accepted an unreadable journal";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot read journal"), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // --- graceful drain ---------------------------------------------------------
 
 TEST(DaemonDrain, DrainIsIdempotentAndRefusesFurtherState) {

@@ -353,7 +353,7 @@ TEST(EventEngine, UpdateCountsAreTracked) {
   const auto result = engine.run();
   ASSERT_TRUE(result.converged);
   EXPECT_GT(result.updates_sent, 0u);
-  EXPECT_EQ(result.updates_sent, engine.updates_sent());
+  EXPECT_EQ(result.updates_sent, engine.counters().updates_sent);
   EXPECT_GE(result.deliveries, result.updates_sent);
 }
 

@@ -1,15 +1,19 @@
 // Unit tests for the utility substrate: deterministic RNG, hashing, string
-// helpers and the CLI flag parser.
+// helpers, the CLI flag parser, JSON and the EINTR-safe file primitives.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <set>
 
+#include "util/fileio.hpp"
 #include "util/flags.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
@@ -384,6 +388,32 @@ TEST(Json, AtomicWriteReplacesExistingContent) {
   const auto back = json::read_file(path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->at("gen").as_int(), 2);
+  std::remove(path.c_str());
+}
+
+TEST(FileIo, ReadAllReportsAReadError) {
+  // A directory opens O_RDONLY but every read(2) fails with EISDIR.
+  const std::string dir = testing::TempDir() + "ibgp_fileio_dir";
+  std::filesystem::create_directories(dir);
+  const int fd = fileio::open_retry(dir, O_RDONLY);
+  ASSERT_GE(fd, 0);
+  std::string text = "kept";
+  EXPECT_FALSE(fileio::read_all(fd, text));
+  EXPECT_EQ(text, "kept");
+  ::close(fd);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileIo, ReadAllReadsTheWholeFile) {
+  const std::string path = testing::TempDir() + "ibgp_fileio_file";
+  const std::string content(200'000, 'x');  // several read(2) calls
+  ASSERT_TRUE(fileio::write_file_atomic(path, content));
+  const int fd = fileio::open_retry(path, O_RDONLY);
+  ASSERT_GE(fd, 0);
+  std::string text;
+  EXPECT_TRUE(fileio::read_all(fd, text));
+  EXPECT_EQ(text, content);
+  ::close(fd);
   std::remove(path.c_str());
 }
 
