@@ -36,6 +36,12 @@ Instance::Instance(std::string name, netsim::PhysicalGraph physical,
                                   " names non-existent node " +
                                   std::to_string(path.exit_point));
     }
+    // Route pricing adds the exit cost to an IGP cost below kInfCost.
+    if (path.exit_cost >= kInfCost) {
+      throw std::invalid_argument("Instance '" + name_ + "': exit path " + path.name +
+                                  " has exit cost " + std::to_string(path.exit_cost) +
+                                  ", not below " + std::to_string(kInfCost));
+    }
   }
 
   // The incoming table carries the configured (raw) attributes; ingress

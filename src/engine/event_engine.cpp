@@ -1322,9 +1322,17 @@ void EventEngine::restore(const EngineState& state) {
       state.link_down.size() != state.link_count) {
     restore_error("link vector size mismatch");
   }
+  // The SPF kernel takes only positive finite costs, or kInfCost for down.
+  const auto finite = [](Cost cost) { return cost > 0 && cost < kInfCost; };
+  if (!std::all_of(state.link_cost.begin(), state.link_cost.end(), finite)) {
+    restore_error("link cost that is not a positive finite metric");
+  }
   for (const auto& snapshot : state.igp_log) {
     if (snapshot.effective.size() != state.link_count) {
       restore_error("igp_log entry with wrong effective-vector length");
+    }
+    for (const Cost cost : snapshot.effective) {
+      if (!finite(cost) && cost != kInfCost) restore_error("igp_log entry with a bad cost");
     }
   }
   if (state.faults_applied != state.fault_log.size()) {

@@ -14,9 +14,9 @@ LinkState::LinkState(const PhysicalGraph& graph) {
 }
 
 bool LinkState::set_cost(std::size_t link, Cost cost) {
-  if (cost <= 0 || cost == kInfCost) {
-    throw std::invalid_argument("LinkState: link costs must be positive, got " +
-                                std::to_string(cost));
+  if (cost <= 0 || cost >= kInfCost) {
+    throw std::invalid_argument("LinkState: link costs must be positive and below " +
+                                std::to_string(kInfCost) + ", got " + std::to_string(cost));
   }
   cost_.at(link) = cost;
   if (down_[link] || effective_[link] == cost) return false;

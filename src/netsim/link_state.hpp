@@ -38,7 +38,8 @@ class LinkState {
   /// IGP-epoch cache key.
   [[nodiscard]] std::span<const Cost> effective() const { return effective_; }
 
-  /// Sets the configured cost (must be positive; throws otherwise).
+  /// Sets the configured cost (must be positive and below kInfCost; throws
+  /// otherwise).
   /// Returns true iff the *effective* vector changed (a cost change on a
   /// down link only retargets the eventual link-up).
   bool set_cost(std::size_t link, Cost cost);

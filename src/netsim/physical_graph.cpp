@@ -25,9 +25,9 @@ void PhysicalGraph::add_link(NodeId a, NodeId b, Cost cost) {
   check_node(a);
   check_node(b);
   if (a == b) throw std::invalid_argument("PhysicalGraph: self-loop on node " + std::to_string(a));
-  if (cost <= 0) {
-    throw std::invalid_argument("PhysicalGraph: IGP link costs must be positive, got " +
-                                std::to_string(cost));
+  if (cost <= 0 || cost >= kInfCost) {
+    throw std::invalid_argument("PhysicalGraph: IGP link costs must be positive and below " +
+                                std::to_string(kInfCost) + ", got " + std::to_string(cost));
   }
   // Parallel links collapse to the cheapest one.
   for (auto& adj : adjacency_[a]) {

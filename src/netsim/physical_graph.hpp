@@ -31,7 +31,9 @@ struct Adjacency {
 ///
 /// Link costs must be strictly positive (the paper requires positive integer
 /// IGP metrics; zero-cost links would make "shortest path" tie-breaking
-/// dominate every comparison).  Parallel links collapse to the cheapest.
+/// dominate every comparison) and below kInfCost, the "unreachable"
+/// sentinel, so that path sums never overflow.  Parallel links collapse to
+/// the cheapest.
 class PhysicalGraph {
  public:
   PhysicalGraph() = default;
@@ -42,7 +44,7 @@ class PhysicalGraph {
 
   /// Adds (or cheapens) the undirected link a—b.
   /// Throws std::invalid_argument on self-loops, out-of-range nodes, or
-  /// non-positive costs.
+  /// costs outside [1, kInfCost).
   void add_link(NodeId a, NodeId b, Cost cost);
 
   /// Appends a new isolated node; returns its id.

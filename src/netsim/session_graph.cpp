@@ -11,11 +11,12 @@ void SessionGraph::add_session(NodeId u, NodeId v, SessionKind kind) {
     throw std::invalid_argument("SessionGraph: node out of range");
   }
   if (u == v) throw std::invalid_argument("SessionGraph: self-session");
-  if (has_session(u, v)) return;
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  std::sort(adjacency_[u].begin(), adjacency_[u].end());
-  std::sort(adjacency_[v].begin(), adjacency_[v].end());
+  auto& of_u = adjacency_[u];
+  const auto at = std::lower_bound(of_u.begin(), of_u.end(), v);
+  if (at != of_u.end() && *at == v) return;
+  of_u.insert(at, v);
+  auto& of_v = adjacency_[v];
+  of_v.insert(std::lower_bound(of_v.begin(), of_v.end(), u), u);
   edges_.push_back({std::min(u, v), std::max(u, v), kind});
 }
 

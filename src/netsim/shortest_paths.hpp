@@ -8,9 +8,16 @@
 // matches how an IGP forwards packets (each hop makes an independent,
 // consistent choice) and is exactly what the forwarding-plane analysis of
 // Section 7/8 (routing loops, Fig 14) requires.
+//
+// One kernel computes every row (DESIGN.md §11): a Dijkstra per source over
+// a flat adjacency array, with a radix heap for a priority queue.  Each node
+// inherits its first hop during the relaxation, and on a tie keeps the
+// lowest first hop over its equal-cost predecessors.  With positive costs
+// every shortest-path predecessor settles first, so that is the rule above.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "netsim/physical_graph.hpp"
@@ -20,11 +27,28 @@ namespace ibgp::netsim {
 
 class ShortestPaths {
  public:
-  /// Runs Dijkstra from every node and precomputes the deterministic
-  /// next-hop matrix.  O(n * m log n).  The graph is only used during
-  /// construction — the object holds no reference to it afterwards, so it
-  /// stays valid across moves/destruction of the source graph.
+  /// Runs the kernel from every node: O(m) relaxations per source, each
+  /// queued node moving down at most 64 radix buckets, and no separate
+  /// next-hop pass.  The graph is only used during construction — the
+  /// object holds no reference to it afterwards, so it stays valid across
+  /// moves/destruction of the source graph.
   explicit ShortestPaths(const PhysicalGraph& graph);
+
+  /// The epoch of `graph`'s topology under the effective link costs
+  /// `effective`, index-aligned with graph.links() (kInfCost = link down).
+  /// Throws std::invalid_argument on a size mismatch, or on a cost that is
+  /// neither positive and below kInfCost nor kInfCost itself.
+  ShortestPaths(const PhysicalGraph& graph, std::span<const Cost> effective);
+
+  /// The epoch of `graph` under `effective`, derived from `from`: the epoch
+  /// of the same graph under a key equal to `effective` except at link
+  /// `changed`, where it was `from_cost`.  Copies `from`, then re-runs only
+  /// the sources whose row the change can touch (DESIGN.md §11) and stores
+  /// their count in `rows_rerun`.  The result equals
+  /// ShortestPaths(graph, effective) bit for bit.
+  static ShortestPaths derive(const ShortestPaths& from, const PhysicalGraph& graph,
+                              std::span<const Cost> effective, std::size_t changed,
+                              Cost from_cost, std::size_t& rows_rerun);
 
   [[nodiscard]] std::size_t node_count() const { return n_; }
 
@@ -53,9 +77,17 @@ class ShortestPaths {
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
+  explicit ShortestPaths(std::size_t node_count);
+
   [[nodiscard]] std::size_t index(NodeId u, NodeId v) const {
     return static_cast<std::size_t>(u) * n_ + v;
   }
+
+  /// Runs the kernel from every source of `graph` under `effective`
+  /// (nullptr: the graph's own costs), then seals the fingerprint.
+  void compute(const PhysicalGraph& graph, const Cost* effective);
+
+  void seal();  // folds the matrices into fingerprint_
 
   std::size_t n_;
   std::vector<Cost> dist_;      // row-major n x n

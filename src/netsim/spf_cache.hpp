@@ -2,14 +2,20 @@
 // Memoized deterministic SPF recomputation for IGP churn.
 //
 // Every IGP epoch is a pure function of the effective link-cost vector
-// (LinkState::effective()), so recomputation is cached on exactly that key.
+// (LinkState::effective()), so epochs are memoized on exactly that key.  A
+// miss whose key differs from a cached key at exactly one link derives the
+// new epoch from the cached one, re-running only the sources whose rows the
+// link can touch (ShortestPaths::derive); any other miss computes every
+// row.  Either way the value is the same, bit for bit (DESIGN.md §11).
+//
 // The cache is shared wherever the owning Instance is shared — including
 // across the worker threads of a parallel fault sweep, where many cells
-// visit the same churned states — so lookups are mutex-serialized.  The
-// mapping is key -> value for a *pure* value, which keeps sweep results
-// byte-identical regardless of which thread first computed an epoch; only
-// hit/miss counters are schedule-dependent, and they are deliberately not
-// part of any per-cell result or trace hash.
+// visit the same churned states — so lookups, and the derivation, are
+// mutex-serialized.  The mapping is key -> value for a *pure* value, which
+// keeps sweep results byte-identical regardless of which thread first
+// computed an epoch or which cached epoch it was derived from; only the
+// counters are schedule-dependent, and they are deliberately not part of
+// any per-cell result or trace hash.
 //
 // Epochs are handed out as shared_ptr<const ShortestPaths>: an engine holds
 // its current epoch alive independently of the cache and of other engines,
@@ -38,6 +44,8 @@ struct SpfCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;   ///< == misses: every miss materializes an epoch
   std::uint64_t evictions = 0; ///< LRU evictions (0 while unbounded)
+  std::uint64_t derived = 0;   ///< misses derived from a cached epoch one link away
+  std::uint64_t rows_rerun = 0;  ///< source rows those derivations re-ran
 };
 
 class SpfCache {
@@ -47,8 +55,11 @@ class SpfCache {
   explicit SpfCache(const PhysicalGraph& base);
 
   /// The all-pairs shortest paths for the given effective link costs
-  /// (kInfCost = link down), computing and memoizing on first sight.
-  /// Throws std::invalid_argument on a size mismatch with the base graph.
+  /// (kInfCost = link down), computing and memoizing on first sight.  A
+  /// miss first looks for a cached key one link away, trying the most
+  /// recently used entry first; it derives from that epoch when it finds
+  /// one.  Throws std::invalid_argument on a size mismatch with the base
+  /// graph, or on a cost the kernel rejects (see ShortestPaths).
   std::shared_ptr<const ShortestPaths> get(std::span<const Cost> effective);
 
   /// Distinct epochs materialized so far (>= 1 once the base was queried).
@@ -74,10 +85,10 @@ class SpfCache {
   [[nodiscard]] SpfCacheStats stats() const;
 
   /// Mirrors the counters into `registry` as the volatile metrics
-  /// "spf.hits" / "spf.misses" / "spf.inserts", from now on, and records
-  /// each miss's recompute wall time into the volatile span histogram
-  /// "spf.recompute_ns" — the measured baseline for the ROADMAP
-  /// incremental-SPF item.  Pass nullptr to detach.
+  /// "spf.hits" / "spf.misses" / "spf.inserts" / "spf.evictions" /
+  /// "spf.derived" / "spf.rows_rerun", from now on, and records each miss's
+  /// build wall time, derived or not, into the volatile span histogram
+  /// "spf.recompute_ns".  Pass nullptr to detach.
   void attach_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -87,11 +98,19 @@ class SpfCache {
     bool pinned = false;         ///< base epoch: never evicted
   };
 
+  using Map = std::map<std::vector<Cost>, Entry>;
+
   void evict_lru_locked();  // requires mutex_ held; skips pinned entries
+
+  /// A cached entry whose key differs from `key` at exactly one link, whose
+  /// index goes to `changed`; cache_.end() if none.  Requires mutex_ held.
+  Map::const_iterator one_link_away_locked(const std::vector<Cost>& key,
+                                           std::size_t& changed) const;
 
   PhysicalGraph base_;
   mutable std::mutex mutex_;
-  std::map<std::vector<Cost>, Entry> cache_;
+  Map cache_;
+  Map::iterator mru_ = cache_.end();  // most recently used entry
   SpfCacheStats stats_;  // guarded by mutex_
   std::size_t capacity_ = 0;   // 0 = unbounded
   std::uint64_t use_tick_ = 0; // monotonically increasing LRU clock
@@ -99,6 +118,8 @@ class SpfCache {
   obs::Counter* misses_ = nullptr;
   obs::Counter* inserts_ = nullptr;
   obs::Counter* evictions_ = nullptr;
+  obs::Counter* derived_ = nullptr;
+  obs::Counter* rows_rerun_ = nullptr;
   obs::Histogram* recompute_ns_ = nullptr;  // miss-path wall time (volatile)
 };
 

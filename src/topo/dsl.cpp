@@ -40,6 +40,17 @@ std::int64_t need_int(const LineRef& at, std::string_view token, const char* wha
   return *value;
 }
 
+// Link and exit costs are summed along paths, so both must stay below
+// kInfCost, the "unreachable" sentinel.
+Cost need_cost(const LineRef& at, std::string_view token, const char* what) {
+  const Cost value = need_int(at, token, what);
+  if (value >= kInfCost) {
+    fail(at, std::string(what) + " must be below " + std::to_string(kInfCost) + ", got " +
+                 std::string(token));
+  }
+  return value;
+}
+
 // Unsigned fields (node/cluster indices, ids, attribute values) reject
 // negatives and anything that would wrap the 32-bit representation instead
 // of silently truncating through a cast.
@@ -161,7 +172,9 @@ core::Instance parse_topo(std::string_view text, std::string_view source) {
       }
     } else if (directive == "link") {
       if (tokens.size() != 4) fail(at, "usage: link A B COST");
-      builder.link(tokens[1], tokens[2], need_int(at, tokens[3], "cost"));
+      const Cost cost = need_cost(at, tokens[3], "link cost");
+      if (cost <= 0) fail(at, "link cost must be positive, got " + std::to_string(cost));
+      builder.link(tokens[1], tokens[2], cost);
     } else if (directive == "session") {
       if (tokens.size() != 3) fail(at, "usage: session A B");
       builder.client_session(tokens[1], tokens[2]);
@@ -182,7 +195,7 @@ core::Instance parse_topo(std::string_view text, std::string_view source) {
         } else if (tokens[i] == "len") {
           spec.as_path_length = need_u32(at, tokens[i + 1], "len");
         } else if (tokens[i] == "cost") {
-          spec.exit_cost = need_int(at, tokens[i + 1], "cost");
+          spec.exit_cost = need_cost(at, tokens[i + 1], "exit cost");
         } else if (tokens[i] == "peer") {
           spec.ebgp_peer = need_u32(at, tokens[i + 1], "peer");
         } else if (tokens[i] == "comm") {

@@ -8,7 +8,10 @@
 //   - core::decide: zero blocks per call for all three protocols on fig1a,
 //     fig3 and a 64-exit random instance, with and without provenance;
 //   - a budget-bound fig3 standard run: under 0.01 blocks per delivery;
-//   - check_continuity: a count that does not grow with the intervals.
+//   - check_continuity: a count that does not grow with the intervals;
+//   - a ShortestPaths build: its two matrices and nothing else, at fig3, 108
+//     and 999 routers (the kernel's adjacency and heap are per-thread
+//     scratch, so explore-search's thousands of small builds stay cheap).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "analysis/continuity.hpp"
 #include "core/policy.hpp"
 #include "engine/event_engine.hpp"
+#include "netsim/shortest_paths.hpp"
 #include "topo/figures.hpp"
 #include "topo/random.hpp"
 
@@ -153,6 +157,39 @@ TEST(AllocationGuard, ContinuityAllocationsDoNotGrowWithIntervals) {
       << short_intervals << " intervals: " << short_blocks << " blocks; " << long_intervals
       << " intervals: " << long_blocks << " blocks";
   EXPECT_LT(long_blocks, 32u);
+}
+
+/// Heap blocks of one ShortestPaths build of `inst`'s graph, after a
+/// warm-up build of the same graph.
+std::uint64_t spf_build_blocks(const core::Instance& inst) {
+  { const netsim::ShortestPaths warm_up(inst.physical()); }
+  const std::uint64_t before = blocks();
+  const netsim::ShortestPaths spf(inst.physical());
+  const std::uint64_t allocated = blocks() - before;
+  EXPECT_EQ(spf.node_count(), inst.node_count());
+  return allocated;
+}
+
+/// The random instance of the given cluster count with 2-6 clients per
+/// cluster: 24 clusters at seed 11 give 108 routers, 200 at seed 21 give 999.
+core::Instance clustered(std::size_t clusters, double extra_link_prob, std::uint64_t seed) {
+  topo::RandomConfig config;
+  config.clusters = clusters;
+  config.min_clients = 2;
+  config.max_clients = 6;
+  config.extra_link_prob = extra_link_prob;
+  return topo::random_instance(config, seed);
+}
+
+TEST(AllocationGuard, ShortestPathsBuildAllocatesOnlyItsTwoMatrices) {
+  const core::Instance instances[] = {topo::fig3(), clustered(24, 0.04, 11),
+                                      clustered(200, 0.02, 21)};
+  ASSERT_EQ(instances[1].node_count(), 108u);
+  ASSERT_EQ(instances[2].node_count(), 999u);
+  for (const auto& inst : instances) {
+    EXPECT_EQ(spf_build_blocks(inst), 2u) << inst.name() << ", " << inst.node_count()
+                                          << " routers";
+  }
 }
 
 }  // namespace

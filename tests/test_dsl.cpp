@@ -264,6 +264,22 @@ TEST(Builder, RejectsUnknownLabels) {
   EXPECT_THROW(b.bgp_id("Z", 5), std::invalid_argument);
 }
 
+TEST(Builder, RejectsExitCostsAtOrAboveInfinity) {
+  InstanceBuilder b;
+  b.reflector("A", 0);
+  ExitSpec far;
+  far.name = "far";
+  far.at = "A";
+  far.exit_cost = kInfCost;
+  b.exit(far);
+  try {
+    (void)b.build("inf");
+    FAIL() << "expected the exit cost to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("far"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Builder, ClientSessionsSurviveBuild) {
   InstanceBuilder b;
   b.reflector("R", 0);
@@ -357,6 +373,13 @@ TEST(Dsl, RejectsOutOfRangeIndices) {
   expect_topo_error("node A reflector 0\nexit r at A as 1 peer -3\n", "peer");
   expect_topo_error("node A reflector 0\nroute-map A set-lp -1\n", "set-lp");
   expect_topo_error("med-override -1 ignore\nnode A reflector 0\n", "as");
+  // Costs are summed along paths, so neither may reach kInfCost.
+  const std::string two_nodes = "node A reflector 0\nnode B client 0\n";
+  expect_topo_error(two_nodes + "link A B 9223372036854775807\n", "<topo>:3:");
+  expect_topo_error(two_nodes + "link A B 2305843009213693951\n", "link cost");  // kInfCost
+  expect_topo_error(two_nodes + "link A B 0\n", "<topo>:3:");
+  expect_topo_error(two_nodes + "exit r at A as 1 cost 9223372036854775807\n", "<topo>:3:");
+  expect_topo_error(two_nodes + "exit r at A as 1 cost 2305843009213693951\n", "exit cost");
 }
 
 TEST(Dsl, RejectsNonNumericFields) {

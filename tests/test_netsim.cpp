@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "netsim/cluster_layout.hpp"
+#include "netsim/link_state.hpp"
 #include "netsim/physical_graph.hpp"
 #include "netsim/session_graph.hpp"
 #include "netsim/shortest_paths.hpp"
@@ -40,6 +44,13 @@ TEST(PhysicalGraph, RejectsBadInput) {
   EXPECT_THROW(g.add_link(0, 5, 1), std::invalid_argument);  // out of range
   EXPECT_THROW(g.add_link(0, 1, 0), std::invalid_argument);  // non-positive
   EXPECT_THROW(g.add_link(0, 1, -3), std::invalid_argument);
+  // Not finite: kInfCost would read as "no link", and anything above it
+  // overflows path sums.
+  EXPECT_THROW(g.add_link(0, 1, kInfCost), std::invalid_argument);
+  EXPECT_THROW(g.add_link(0, 1, std::numeric_limits<Cost>::max()), std::invalid_argument);
+  g.add_link(0, 1, kInfCost - 1);  // the largest finite cost
+  EXPECT_TRUE(g.has_link(0, 1));
+  EXPECT_TRUE(ShortestPaths(g).reachable(0, 1));
 }
 
 TEST(PhysicalGraph, Connectivity) {
@@ -117,6 +128,19 @@ TEST(ShortestPaths, PathToSelf) {
   const ShortestPaths sp(g);
   EXPECT_EQ(sp.path(1, 1), (std::vector<NodeId>{1}));
   EXPECT_EQ(sp.next_hop(1, 1), kNoNode);
+}
+
+TEST(ShortestPaths, RejectsBadEffectiveCosts) {
+  PhysicalGraph g(3);
+  g.add_link(0, 1, 2);
+  g.add_link(1, 2, 3);
+  EXPECT_THROW(ShortestPaths(g, std::vector<Cost>{2}), std::invalid_argument);  // size
+  EXPECT_THROW(ShortestPaths(g, std::vector<Cost>{2, 0}), std::invalid_argument);
+  EXPECT_THROW(ShortestPaths(g, std::vector<Cost>{-5, 3}), std::invalid_argument);
+  EXPECT_THROW(ShortestPaths(g, std::vector<Cost>{2, kInfCost + 1}), std::invalid_argument);
+  const ShortestPaths down(g, std::vector<Cost>{2, kInfCost});  // link 1-2 down
+  EXPECT_EQ(down.cost(0, 1), 2);
+  EXPECT_FALSE(down.reachable(0, 2));
 }
 
 TEST(ShortestPaths, HopByHopConsistency) {
@@ -248,6 +272,36 @@ TEST(SessionGraph, PeersSortedAscending) {
   const auto sessions = build_session_graph(two_cluster_layout());
   const auto peers = sessions.peers(0);
   EXPECT_TRUE(std::is_sorted(peers.begin(), peers.end()));
+}
+
+TEST(SessionGraph, InsertsKeepPeersSortedAndEdgesInInsertionOrder) {
+  SessionGraph sessions(6);
+  sessions.add_session(0, 5, SessionKind::kReflectorMesh);
+  sessions.add_session(3, 0, SessionKind::kReflectorClient);
+  sessions.add_session(0, 1, SessionKind::kReflectorClient);
+  sessions.add_session(5, 0, SessionKind::kReflectorMesh);  // duplicate: ignored
+  sessions.add_session(4, 0, SessionKind::kReflectorClient);
+  const auto peers = sessions.peers(0);
+  EXPECT_EQ(std::vector<NodeId>(peers.begin(), peers.end()), (std::vector<NodeId>{1, 3, 4, 5}));
+  ASSERT_EQ(sessions.session_count(), 4u);
+  EXPECT_EQ(sessions.edges()[1].u, 0u);
+  EXPECT_EQ(sessions.edges()[1].v, 3u);
+  EXPECT_EQ(sessions.peers(3).size(), 1u);
+}
+
+// --- LinkState ---------------------------------------------------------------
+
+TEST(LinkState, RejectsNonFiniteCosts) {
+  PhysicalGraph g(2);
+  g.add_link(0, 1, 4);
+  LinkState state(g);
+  EXPECT_THROW(state.set_cost(0, 0), std::invalid_argument);
+  EXPECT_THROW(state.set_cost(0, kInfCost), std::invalid_argument);
+  EXPECT_THROW(state.set_cost(0, kInfCost + 1), std::invalid_argument);
+  EXPECT_THROW(state.set_cost(0, std::numeric_limits<Cost>::max()), std::invalid_argument);
+  EXPECT_EQ(state.cost(0), 4);
+  EXPECT_TRUE(state.set_cost(0, kInfCost - 1));
+  EXPECT_EQ(state.effective()[0], kInfCost - 1);
 }
 
 // --- validate ----------------------------------------------------------------

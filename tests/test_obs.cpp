@@ -562,6 +562,62 @@ TEST(SpfCacheMetrics, BoundedLruEvictsColdEpochsButNeverTheBase) {
   cache.attach_metrics(nullptr);
 }
 
+TEST(SpfCacheMetrics, OneLinkMissesAreDerivedAndCountedAsVolatile) {
+  const auto inst = topo::fig1a();
+  auto& cache = inst.spf_cache();
+  MetricsRegistry reg;
+  cache.attach_metrics(&reg);
+  const std::uint64_t clean_fingerprint = reg.fingerprint();
+
+  std::vector<Cost> base_costs;
+  for (const auto& link : inst.physical().links()) base_costs.push_back(link.cost);
+  ASSERT_GE(base_costs.size(), 2u);
+  const auto start = cache.stats();
+  EXPECT_EQ(start.derived, 0u) << "the primed base epoch is computed in full";
+
+  // One link from the base: a derived miss, which still counts as a miss
+  // and is timed by spf.recompute_ns.
+  auto one_link = base_costs;
+  one_link[0] += 7;
+  (void)cache.get(one_link);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, start.misses + 1);
+  EXPECT_EQ(stats.derived, 1u);
+  EXPECT_GE(stats.rows_rerun, 1u);
+  EXPECT_LE(stats.rows_rerun, inst.node_count());
+  EXPECT_EQ(reg.counter_value("spf.misses"), 1u);
+  EXPECT_EQ(reg.counter_value("spf.derived"), 1u);
+  EXPECT_EQ(reg.counter_value("spf.rows_rerun"), stats.rows_rerun);
+  EXPECT_EQ(obs::span_histogram(reg, "spf.recompute_ns").total(), 1u);
+
+  // Two links from every cached key: computed in full, not derived.
+  auto two_links = base_costs;
+  two_links[0] += 3;
+  two_links[1] += 3;
+  (void)cache.get(two_links);
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, start.misses + 2);
+  EXPECT_EQ(stats.derived, 1u);
+  EXPECT_EQ(reg.counter_value("spf.derived"), 1u);
+  EXPECT_EQ(obs::span_histogram(reg, "spf.recompute_ns").total(), 2u);
+
+  // A key the kernel rejects throws and is not counted as a miss.
+  auto bad = base_costs;
+  bad[0] = -1;
+  EXPECT_THROW((void)cache.get(bad), std::invalid_argument);
+  EXPECT_EQ(cache.stats().misses, start.misses + 2);
+  EXPECT_EQ(cache.stats().inserts, start.inserts + 2);
+
+  // Schedule-dependent, so volatile: no fingerprint sees them.
+  EXPECT_EQ(reg.fingerprint(), clean_fingerprint);
+  for (const auto& sample : reg.snapshot()) {
+    if (sample.name == "spf.derived" || sample.name == "spf.rows_rerun") {
+      EXPECT_EQ(sample.metric_class, obs::MetricClass::kVolatile) << sample.name;
+    }
+  }
+  cache.attach_metrics(nullptr);
+}
+
 // --- profiler spans ----------------------------------------------------------
 
 TEST(Span, NestedSpansAggregatePerHistogram) {
