@@ -36,7 +36,12 @@
 //
 // Files are written via write-to-temp-then-rename (util::json::
 // write_file_atomic), so a reader — including a resume after SIGKILL —
-// only ever observes a complete old or complete new checkpoint.
+// only ever observes a complete old or complete new checkpoint.  They hold
+// engine_state_json(...).dump_compact(): one line, about a third of the
+// indented size older builds wrote.  Loading accepts either form, so
+// indented files from those builds (the golden file among them) still
+// resume.  engine_state_json is the only ibgp-ckpt-v1 encoder; the daemon
+// checkpoint embeds its tree rather than streaming a second encoding.
 
 #include <optional>
 #include <string>

@@ -407,7 +407,7 @@ std::string Daemon::handle_hello(const WireRecord& rec) {
   out.emplace_back("protocol", core::protocol_name(protocol_));
   out.emplace_back("resumed", resumed_);
   out.emplace_back("applied_seq", applied_seq_);
-  return render_reply(out);
+  return render_reply(std::move(out));
 }
 
 std::string Daemon::validate_fault(const WireRecord& rec) {
@@ -607,7 +607,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("node", rec.node);
       out.emplace_back("name", instance_->node_name(rec.node));
       out.emplace_back("path", best == kNoPath ? json::Value(nullptr) : json::Value(best));
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kPath: {
       if (rec.node >= instance_->node_count()) {
@@ -633,7 +633,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
                                                                : json::Value(trace.exit_node));
       out.emplace_back("exit_path", trace.exit_path == kNoPath ? json::Value(nullptr)
                                                                : json::Value(trace.exit_path));
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kStatus: {
       json::Object out;
@@ -645,7 +645,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("faults_pending", static_cast<std::uint64_t>(last_result_.faults_pending));
       out.emplace_back("best_flips", static_cast<std::uint64_t>(last_result_.best_flips));
       out.emplace_back("updates_sent", static_cast<std::uint64_t>(last_result_.updates_sent));
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kStats: {
       const auto synth = synthesized_result();
@@ -661,7 +661,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("wire_hash", hex64(wire_hash_));
       out.emplace_back("trace_hash", hex64(fault::trace_hash(*engine_, synth)));
       out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kHealth: {
       // Deliberately volatile: liveness and load, never folded into any
@@ -673,7 +673,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("applied_seq", applied_seq_);
       if (health_source_) out.emplace_back("service", health_source_());
       out.emplace_back("volatile", metrics_.volatile_json());
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kMetrics: {
       // Full registry snapshot — the wire twin of the --metrics-file
@@ -687,7 +687,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("deterministic", metrics_.deterministic_json());
       out.emplace_back("volatile", metrics_.volatile_json());
       out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
-      return render_reply(out);
+      return render_reply(std::move(out));
     }
     case QueryKind::kWhatIf:
       return handle_whatif(rec);
@@ -735,7 +735,7 @@ std::string Daemon::handle_whatif(const WireRecord& rec) {
   out.emplace_back("best_flips",
                    static_cast<std::uint64_t>(result.best_flips - last_result_.best_flips));
   out.emplace_back("best_changed", best_changed);
-  return render_reply(out);
+  return render_reply(std::move(out));
 }
 
 std::string Daemon::drain() {
@@ -760,7 +760,7 @@ std::string Daemon::drain() {
   out.emplace_back("wire_hash", hex64(wire_hash_));
   out.emplace_back("trace_hash", hex64(fault::trace_hash(*engine_, synth)));
   out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
-  return render_reply(out);
+  return render_reply(std::move(out));
 }
 
 }  // namespace ibgp::daemon

@@ -12,8 +12,8 @@
 //  * Periodic checkpoints (checkpoint.json, schema ibgp-daemon-ckpt-v1):
 //    the engine's full ibgp-ckpt-v1 state plus the daemon's stream cursor
 //    (applied_seq, clock, wire hash, deterministic counters), written
-//    atomically every `ckpt_every` accepted records; each checkpoint
-//    resets the journal.
+//    atomically as one line of JSON every `ckpt_every` accepted records;
+//    each checkpoint resets the journal.
 //  * Recovery (= constructor with resume): restore the newest checkpoint,
 //    replay the journal tail through the exact same ingest path, and the
 //    daemon answers every subsequent line byte-identically to a process

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <utility>
 
 namespace ibgp::daemon {
 
@@ -54,8 +55,8 @@ std::string hex64(std::uint64_t value) {
   return buf;
 }
 
-std::string render_reply(const json::Object& fields) {
-  return json::Value(fields).dump_compact();
+std::string render_reply(json::Object fields) {
+  return json::Value(std::move(fields)).dump_compact();
 }
 
 std::string error_reply(const WireError& error) {
@@ -64,7 +65,7 @@ std::string error_reply(const WireError& error) {
   if (error.has_seq) out.emplace_back("seq", error.seq);
   out.emplace_back("code", error_code_name(error.code));
   out.emplace_back("msg", error.message);
-  return render_reply(out);
+  return render_reply(std::move(out));
 }
 
 std::string error_reply(ErrorCode code, std::string_view message) {
@@ -79,7 +80,7 @@ std::string ack_reply(std::uint64_t seq, SimTime t) {
   out.emplace_back("ev", "ack");
   out.emplace_back("seq", seq);
   out.emplace_back("t", t);
-  return render_reply(out);
+  return render_reply(std::move(out));
 }
 
 namespace {

@@ -119,7 +119,7 @@ bool classify_query(std::string_view line);
 std::string error_reply(const WireError& error);
 std::string error_reply(ErrorCode code, std::string_view message);
 std::string ack_reply(std::uint64_t seq, SimTime t);
-std::string render_reply(const util::json::Object& fields);
+std::string render_reply(util::json::Object fields);
 
 /// "0x" + 16 lowercase hex digits; the wire spelling of every fingerprint.
 std::string hex64(std::uint64_t value);

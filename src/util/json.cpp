@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -11,11 +13,18 @@
 
 namespace ibgp::util::json {
 
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+namespace {
+
+// Appends `text` quoted and escaped per RFC 8259, copying each run of
+// characters that need no escape in one piece.
+void append_escaped(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : text) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -24,21 +33,26 @@ std::string escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escaped, sizeof escaped);
+      }
     }
   }
+  out.append(text, run);
   out += '"';
-  return out;
 }
 
-namespace {
+// std::to_chars straight into `out`: 20 characters hold every int64 and
+// uint64, sign included.
+template <typename Int>
+void append_integer(std::string& out, Int value) {
+  const std::size_t at = out.size();
+  out.resize(at + 20);
+  const char* end = std::to_chars(out.data() + at, out.data() + out.size(), value).ptr;
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
 
 void append_number(std::string& out, double d) {
   if (!std::isfinite(d)) {  // JSON has no Inf/NaN; null is the honest spelling
@@ -54,84 +68,54 @@ void append_number(std::string& out, double d) {
   }
 }
 
-void indent_to(std::string& out, int indent) {
+// A line break, then the indentation of depth `indent` (>= 0).
+void newline_indent(std::string& out, int indent) {
+  out += '\n';
   out.append(static_cast<std::size_t>(indent) * 2, ' ');
 }
 
 }  // namespace
 
-void Value::write(std::string& out, int indent) const {
-  switch (kind_) {
-    case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kUint: out += std::to_string(uint_); break;
-    case Kind::kDouble: append_number(out, double_); break;
-    case Kind::kString: out += escape(string_); break;
-    case Kind::kArray: {
-      if (!array_ || array_->empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < array_->size(); ++i) {
-        indent_to(out, indent + 1);
-        (*array_)[i].write(out, indent + 1);
-        out += i + 1 < array_->size() ? ",\n" : "\n";
-      }
-      indent_to(out, indent);
-      out += ']';
-      break;
-    }
-    case Kind::kObject: {
-      if (!object_ || object_->empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < object_->size(); ++i) {
-        indent_to(out, indent + 1);
-        out += escape((*object_)[i].first);
-        out += ": ";
-        (*object_)[i].second.write(out, indent + 1);
-        out += i + 1 < object_->size() ? ",\n" : "\n";
-      }
-      indent_to(out, indent);
-      out += '}';
-      break;
-    }
-  }
+std::string escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  append_escaped(out, text);
+  return out;
 }
 
-void Value::write_compact(std::string& out) const {
+void Value::write(std::string& out, int indent) const {
+  const bool pretty = indent >= 0;
+  const int inner = pretty ? indent + 1 : indent;
   switch (kind_) {
     case Kind::kNull: out += "null"; break;
-    case Kind::kBool: out += bool_ ? "true" : "false"; break;
-    case Kind::kInt: out += std::to_string(int_); break;
-    case Kind::kUint: out += std::to_string(uint_); break;
-    case Kind::kDouble: append_number(out, double_); break;
-    case Kind::kString: out += escape(string_); break;
+    case Kind::kBool: out += scalar_.b ? "true" : "false"; break;
+    case Kind::kInt: append_integer(out, scalar_.i); break;
+    case Kind::kUint: append_integer(out, scalar_.u); break;
+    case Kind::kDouble: append_number(out, scalar_.d); break;
+    case Kind::kString: append_escaped(out, as_string()); break;
     case Kind::kArray: {
+      const Array& array = as_array();
       out += '[';
-      if (array_) {
-        for (std::size_t i = 0; i < array_->size(); ++i) {
-          if (i > 0) out += ", ";
-          (*array_)[i].write_compact(out);
-        }
+      for (std::size_t i = 0; i < array.size(); ++i) {
+        if (i > 0) out += pretty ? "," : ", ";
+        if (pretty) newline_indent(out, inner);
+        array[i].write(out, inner);
       }
+      if (pretty && !array.empty()) newline_indent(out, indent);
       out += ']';
       break;
     }
     case Kind::kObject: {
+      const Object& object = as_object();
       out += '{';
-      if (object_) {
-        for (std::size_t i = 0; i < object_->size(); ++i) {
-          if (i > 0) out += ", ";
-          out += escape((*object_)[i].first);
-          out += ": ";
-          (*object_)[i].second.write_compact(out);
-        }
+      for (std::size_t i = 0; i < object.size(); ++i) {
+        if (i > 0) out += pretty ? "," : ", ";
+        if (pretty) newline_indent(out, inner);
+        append_escaped(out, object[i].first);
+        out += ": ";
+        object[i].second.write(out, inner);
       }
+      if (pretty && !object.empty()) newline_indent(out, indent);
       out += '}';
       break;
     }
@@ -147,20 +131,19 @@ std::string Value::dump() const {
 
 std::string Value::dump_compact() const {
   std::string out;
-  write_compact(out);
+  write(out, -1);
   return out;
 }
 
 bool write_file(const std::string& path, const Value& value) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::string text = value.dump();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  return (std::fclose(file) == 0) && ok;
+  const int fd = fileio::open_retry(path, O_WRONLY | O_CREAT | O_TRUNC, 0666);
+  if (fd < 0) return false;
+  const bool ok = fileio::write_all(fd, value.dump());
+  return (::close(fd) == 0) && ok;
 }
 
 bool write_file_atomic(const std::string& path, const Value& value) {
-  return fileio::write_file_atomic(path, value.dump());
+  return fileio::write_file_atomic(path, value.dump_compact());
 }
 
 // --- typed accessors ---
@@ -175,19 +158,23 @@ namespace {
 
 bool Value::as_bool() const {
   if (kind_ != Kind::kBool) type_error("a bool");
-  return bool_;
+  return scalar_.b;
 }
 
+// A double converts only from inside the target's range: the cast itself is
+// undefined behaviour outside it (2^63 and 2^64 are exact doubles).
 std::int64_t Value::as_int() const {
   switch (kind_) {
-    case Kind::kInt: return int_;
+    case Kind::kInt: return scalar_.i;
     case Kind::kUint:
-      if (uint_ > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()))
+      if (scalar_.u > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()))
         type_error("an int64-representable number");
-      return static_cast<std::int64_t>(uint_);
+      return static_cast<std::int64_t>(scalar_.u);
     case Kind::kDouble: {
-      const auto i = static_cast<std::int64_t>(double_);
-      if (static_cast<double>(i) != double_) type_error("an integral number");
+      const double d = scalar_.d;
+      if (!(d >= -0x1p63 && d < 0x1p63)) type_error("an int64-representable number");
+      const auto i = static_cast<std::int64_t>(d);
+      if (static_cast<double>(i) != d) type_error("an integral number");
       return i;
     }
     default: type_error("a number");
@@ -196,14 +183,16 @@ std::int64_t Value::as_int() const {
 
 std::uint64_t Value::as_uint() const {
   switch (kind_) {
-    case Kind::kUint: return uint_;
+    case Kind::kUint: return scalar_.u;
     case Kind::kInt:
-      if (int_ < 0) type_error("a non-negative number");
-      return static_cast<std::uint64_t>(int_);
+      if (scalar_.i < 0) type_error("a non-negative number");
+      return static_cast<std::uint64_t>(scalar_.i);
     case Kind::kDouble: {
-      if (double_ < 0) type_error("a non-negative number");
-      const auto u = static_cast<std::uint64_t>(double_);
-      if (static_cast<double>(u) != double_) type_error("an integral number");
+      const double d = scalar_.d;
+      if (d < 0) type_error("a non-negative number");
+      if (!(d < 0x1p64)) type_error("a uint64-representable number");
+      const auto u = static_cast<std::uint64_t>(d);
+      if (static_cast<double>(u) != d) type_error("an integral number");
       return u;
     }
     default: type_error("a number");
@@ -212,39 +201,33 @@ std::uint64_t Value::as_uint() const {
 
 double Value::as_double() const {
   switch (kind_) {
-    case Kind::kDouble: return double_;
-    case Kind::kInt: return static_cast<double>(int_);
-    case Kind::kUint: return static_cast<double>(uint_);
+    case Kind::kDouble: return scalar_.d;
+    case Kind::kInt: return static_cast<double>(scalar_.i);
+    case Kind::kUint: return static_cast<double>(scalar_.u);
     default: type_error("a number");
   }
 }
 
 const std::string& Value::as_string() const {
   if (kind_ != Kind::kString) type_error("a string");
-  return string_;
+  return *static_cast<const std::string*>(payload_.get());
 }
 
 const Array& Value::as_array() const {
-  if (kind_ != Kind::kArray || !array_) {
-    static const Array kEmpty;
-    if (kind_ == Kind::kArray) return kEmpty;
-    type_error("an array");
-  }
-  return *array_;
+  static const Array kEmpty;
+  if (kind_ != Kind::kArray) type_error("an array");
+  return payload_ ? *static_cast<const Array*>(payload_.get()) : kEmpty;
 }
 
 const Object& Value::as_object() const {
-  if (kind_ != Kind::kObject || !object_) {
-    static const Object kEmpty;
-    if (kind_ == Kind::kObject) return kEmpty;
-    type_error("an object");
-  }
-  return *object_;
+  static const Object kEmpty;
+  if (kind_ != Kind::kObject) type_error("an object");
+  return payload_ ? *static_cast<const Object*>(payload_.get()) : kEmpty;
 }
 
 const Value* Value::find(std::string_view key) const {
-  if (kind_ != Kind::kObject || !object_) return nullptr;
-  for (const auto& [name, value] : *object_) {
+  if (kind_ != Kind::kObject) return nullptr;
+  for (const auto& [name, value] : as_object()) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -527,20 +510,15 @@ std::optional<Value> parse(std::string_view text, const ParseOptions& options,
 }
 
 std::optional<Value> read_file(const std::string& path, std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = fileio::open_retry(path, O_RDONLY);
+  if (fd < 0) {
     if (error != nullptr) *error = "cannot open " + path;
     return std::nullopt;
   }
   std::string text;
-  std::array<char, 65536> buf;
-  std::size_t got = 0;
-  while ((got = std::fread(buf.data(), 1, buf.size(), file)) > 0) {
-    text.append(buf.data(), got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
+  const bool read = fileio::read_all(fd, text);
+  ::close(fd);
+  if (!read) {
     if (error != nullptr) *error = "read error on " + path;
     return std::nullopt;
   }

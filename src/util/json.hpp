@@ -1,14 +1,24 @@
 #pragma once
 // Minimal JSON document builder + reader for machine-readable artifacts.
 //
-// The BENCH_*.json trajectory files need a stable, diffable serialization:
-// object keys keep insertion order, numbers print with no locale or
+// Object keys keep insertion order and numbers print with no locale or
 // precision surprises (integers exactly, doubles via shortest round-trip),
-// and dump() emits deterministic two-space-indented text.  The checkpoint
-// layer (ibgp-ckpt-v1, sweep journals) additionally needs to read its own
-// output back, so a strict RFC 8259 parser and typed accessors live here
-// too — the parser accepts exactly what the builder emits (plus arbitrary
-// standard JSON) and rejects everything else with a position diagnostic.
+// so every document is deterministic.  Two writers serve two audiences:
+//
+//   - dump() emits two-space-indented text.  write_file() uses it for the
+//     documents people diff: the committed BENCH_*.json files and metrics
+//     snapshots.
+//   - dump_compact() emits one line.  write_file_atomic() uses it for the
+//     files only programs read back (ibgp-ckpt-v1 and daemon checkpoints,
+//     sweep journal cells, explorer checkpoints), and the line-oriented
+//     streams (ibgp-wire-v1 replies, the trace JSONL, the daemon's WAL)
+//     are built from it too.
+//
+// Both writers append straight into one output string.  The checkpoint
+// layer reads its own output back, so a strict RFC 8259 parser and typed
+// accessors live here too: the parser accepts either writer's output (and
+// arbitrary standard JSON), so indented files from older builds still load,
+// and rejects everything else with a position diagnostic.
 
 #include <array>
 #include <cstdint>
@@ -30,28 +40,38 @@ using Array = std::vector<Value>;
 /// JSON object preserving insertion order (stable dumps for diffing).
 using Object = std::vector<std::pair<std::string, Value>>;
 
+/// One JSON value in 32 bytes: a kind tag, one scalar slot for
+/// bool/int64/uint64/double, and one shared payload holding the string,
+/// Array or Object.  Copies are shallow (they share the payload, which is
+/// never mutated after construction), so passing documents by value is cheap.
 class Value {
  public:
-  Value() : kind_(Kind::kNull) {}
-  Value(std::nullptr_t) : kind_(Kind::kNull) {}
-  Value(bool b) : kind_(Kind::kBool), bool_(b) {}
-  Value(std::int64_t i) : kind_(Kind::kInt), int_(i) {}
-  Value(std::uint64_t u) : kind_(Kind::kUint), uint_(u) {}
+  Value() = default;
+  Value(std::nullptr_t) {}
+  Value(bool b) : kind_(Kind::kBool) { scalar_.b = b; }
+  Value(std::int64_t i) : kind_(Kind::kInt) { scalar_.i = i; }
+  Value(std::uint64_t u) : kind_(Kind::kUint) { scalar_.u = u; }
   Value(int i) : Value(static_cast<std::int64_t>(i)) {}
   Value(unsigned int u) : Value(static_cast<std::uint64_t>(u)) {}
-  Value(double d) : kind_(Kind::kDouble), double_(d) {}
-  Value(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}
+  Value(double d) : kind_(Kind::kDouble) { scalar_.d = d; }
+  Value(std::string s)
+      : kind_(Kind::kString), payload_(std::make_shared<std::string>(std::move(s))) {}
   Value(std::string_view s) : Value(std::string(s)) {}
   Value(const char* s) : Value(std::string(s)) {}
-  Value(Array a) : kind_(Kind::kArray), array_(std::make_shared<Array>(std::move(a))) {}
-  Value(Object o) : kind_(Kind::kObject), object_(std::make_shared<Object>(std::move(o))) {}
+  // Empty containers share no payload; the accessors hand out a static one.
+  Value(Array a)
+      : kind_(Kind::kArray),
+        payload_(a.empty() ? nullptr : std::make_shared<Array>(std::move(a))) {}
+  Value(Object o)
+      : kind_(Kind::kObject),
+        payload_(o.empty() ? nullptr : std::make_shared<Object>(std::move(o))) {}
 
   /// Serializes with two-space indentation and a trailing newline at the
   /// top level, so dumps are stable `diff` targets.
   [[nodiscard]] std::string dump() const;
 
-  /// Single-line serialization (no indentation, no trailing newline) for
-  /// line-oriented formats such as the ibgp-trace-v1 JSONL stream.
+  /// Single-line serialization (", " and ": " separators, no trailing
+  /// newline) for files only programs read and line-oriented formats.
   [[nodiscard]] std::string dump_compact() const;
 
   // --- reading back (used by checkpoint restore and journal resume) ---
@@ -66,8 +86,9 @@ class Value {
   }
 
   /// Typed reads.  Integer accessors accept any numeric kind whose value is
-  /// exactly representable in the target type; everything else throws
-  /// std::runtime_error naming the expected type.
+  /// exactly representable in the target type (a double is range-checked
+  /// before it is converted); everything else throws std::runtime_error
+  /// naming the expected type.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] std::uint64_t as_uint() const;
@@ -89,29 +110,31 @@ class Value {
     kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject,
   };
 
+  /// Appends the serialization to `out`: indented at depth `indent`, or
+  /// compact when `indent` is negative.
   void write(std::string& out, int indent) const;
-  void write_compact(std::string& out) const;
 
-  Kind kind_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::shared_ptr<Array> array_;
-  std::shared_ptr<Object> object_;
+  Kind kind_ = Kind::kNull;
+  union {
+    bool b;
+    std::int64_t i;
+    std::uint64_t u;
+    double d;
+  } scalar_{};
+  std::shared_ptr<const void> payload_;  ///< std::string, Array or Object, by kind_
 };
 
 /// Quotes and escapes a string per RFC 8259.
 std::string escape(std::string_view text);
 
-/// Writes `value.dump()` to `path`.  Returns false (and leaves no partial
-/// file guarantee) when the file cannot be opened or written.
+/// Writes `value.dump()` (indented, for documents people diff) to `path`.
+/// Returns false (and leaves no partial file guarantee) when the file
+/// cannot be opened or written.
 bool write_file(const std::string& path, const Value& value);
 
-/// Crash-consistent write: dumps to `path + ".tmp"`, writes with short-write
-/// and EINTR retry, fsyncs the temp file, renames over `path`, then fsyncs
-/// the containing directory so the rename itself is durable.  A reader
+/// Crash-consistent write of `value.dump_compact()` (one line: these files
+/// are only read back by programs) through util::fileio::write_file_atomic:
+/// temp file, fsync, rename over `path`, fsync of the directory.  A reader
 /// therefore only ever observes the old complete file or the new complete
 /// file, never a torn write — and after a successful return the new file
 /// survives power loss, the property the checkpoint/journal layer's
@@ -138,8 +161,9 @@ std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 std::optional<Value> parse(std::string_view text, const ParseOptions& options,
                            std::string* error = nullptr);
 
-/// Reads and parses a whole file.  std::nullopt on open/read/parse failure
-/// (diagnostic includes the path when `error` is non-null).
+/// Reads and parses a whole file, compact or indented.  std::nullopt on
+/// open/read/parse failure ("cannot open <path>", "read error on <path>" or
+/// "<path>: offset N: ..." in `error` when it is non-null).
 std::optional<Value> read_file(const std::string& path, std::string* error = nullptr);
 
 // --- versioned documents ------------------------------------------------------

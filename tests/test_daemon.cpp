@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -108,6 +109,17 @@ TEST(Wire, RejectsStructurallyBadLinesWithTypedErrors) {
             ErrorCode::kUnknownType);
   EXPECT_EQ(code_of(R"({"ev": "fault", "seq": 1, "t": 0, "kind": "crash", "a": 0, "b": 1})"),
             ErrorCode::kBadField);
+  // Numbers that parse to doubles outside uint64 are refused before any
+  // conversion (converting them would be undefined behaviour).
+  for (const char* line : {
+           R"({"ev": "announce", "seq": 1e300, "t": 0, "path": 0})",
+           R"({"ev": "announce", "seq": 1, "t": 18446744073709551616, "path": 0})",
+           R"({"ev": "withdraw", "seq": 1, "t": 0, "path": -1e300})",
+           R"({"ev": "fault", "seq": 1, "t": 0, "kind": "link-cost", "a": 0, "b": 1, "cost": 1e300})",
+           R"({"ev": "query", "q": "best", "node": 18446744073709551616})",
+       }) {
+    EXPECT_EQ(code_of(line), ErrorCode::kBadField) << line;
+  }
   const std::string oversize(kMaxLineBytes + 1, 'x');
   EXPECT_EQ(code_of(oversize), ErrorCode::kOversize);
 }
@@ -319,6 +331,59 @@ TEST(DaemonRecovery, KillAtEveryRecordAnswersByteIdentically) {
     std::filesystem::remove_all(dir);
   }
   std::filesystem::remove_all(ref_dir);
+}
+
+TEST(DaemonRecovery, ResumesFromAnIndentedCheckpointOfAnOlderBuild) {
+  // Older builds wrote checkpoint.json indented; this build writes it as
+  // one line.  A state dir holding an indented checkpoint plus its journal
+  // must resume to the same replies as a daemon that was never killed.
+  const auto lines = oracle_stream();
+  const std::size_t kill = lines.size() / 2;
+  std::vector<std::string> reference;
+  {
+    const auto ref_dir = fresh_state_dir("indented-ref");
+    DaemonOptions options;
+    options.state_dir = ref_dir.string();
+    options.ckpt_every = 4;
+    Daemon daemon(fig1a_shared(), ProtocolKind::kModified, options);
+    for (const auto& line : lines) reference.push_back(daemon.handle_line(line));
+    std::filesystem::remove_all(ref_dir);
+  }
+
+  const auto dir = fresh_state_dir("indented");
+  {
+    DaemonOptions options;
+    options.state_dir = dir.string();
+    options.ckpt_every = 4;
+    Daemon victim(fig1a_shared(), ProtocolKind::kModified, options);
+    for (std::size_t i = 0; i < kill; ++i) victim.handle_line(lines[i]);
+  }
+  const auto ckpt = dir / "checkpoint.json";
+  ASSERT_TRUE(std::filesystem::exists(ckpt));
+  std::string compact;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    compact.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const auto doc = util::json::parse(compact);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(compact, doc->dump_compact());  // one line, as written
+  EXPECT_GT(doc->at("applied_seq").as_uint(), 0u);  // resume starts from it, not from scratch
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out << doc->dump();
+  }
+
+  DaemonOptions options;
+  options.state_dir = dir.string();
+  options.ckpt_every = 4;
+  options.resume = true;
+  Daemon survivor(fig1a_shared(), ProtocolKind::kModified, options);
+  survivor.handle_line(lines[0]);
+  for (std::size_t i = kill; i < lines.size(); ++i) {
+    EXPECT_EQ(survivor.handle_line(lines[i]), reference[i]) << "line " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DaemonRecovery, TornWalTailIsTruncatedAndReplayedClean) {

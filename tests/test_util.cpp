@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -363,6 +364,23 @@ TEST(Json, IntegerAccessorsAcceptExactCrossKindValues) {
   EXPECT_THROW((void)v.at("big").as_int(), std::runtime_error);  // > int64 max
 }
 
+TEST(Json, OutOfRangeDoublesAreRejectedBeforeConversion) {
+  // Each of these parses to a double outside the accessor's range; a
+  // static_cast of it would be undefined behaviour, so the accessor must
+  // refuse it before converting.
+  const auto v = json::parse(R"({"big": 1e300, "neg": -1e300, "two64": 18446744073709551616,
+                                 "two63": 9223372036854775808.0, "min": -9223372036854775808.0})")
+                     .value();
+  for (const char* key : {"big", "neg", "two64"}) {
+    EXPECT_THROW((void)v.at(key).as_int(), std::runtime_error) << key;
+    EXPECT_THROW((void)v.at(key).as_uint(), std::runtime_error) << key;
+  }
+  EXPECT_THROW((void)v.at("two63").as_int(), std::runtime_error);
+  // The range ends are exact: 2^63 still fits uint64, -2^63 fits int64.
+  EXPECT_EQ(v.at("two63").as_uint(), 9223372036854775808ull);
+  EXPECT_EQ(v.at("min").as_int(), std::numeric_limits<std::int64_t>::min());
+}
+
 TEST(Json, AtomicWriteRoundTrips) {
   const std::string path = testing::TempDir() + "ibgp_json_atomic.json";
   json::Object o;
@@ -451,6 +469,160 @@ TEST(Json, DuplicateObjectKeysAreRejectedByDefault) {
   const auto v = json::parse(R"({"a": 1, "a": 2})", lax);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->as_object().size(), 2u);
+}
+
+// --- json writer bytes --------------------------------------------------------
+
+static_assert(sizeof(json::Value) <= 32,
+              "a JSON value is a kind tag, one scalar slot and one payload pointer");
+
+std::string read_text(const std::string& path) {
+  const int fd = fileio::open_retry(path, O_RDONLY);
+  EXPECT_GE(fd, 0) << path;
+  std::string text;
+  if (fd >= 0) {
+    EXPECT_TRUE(fileio::read_all(fd, text)) << path;
+    ::close(fd);
+  }
+  return text;
+}
+
+TEST(JsonWriter, CommittedIndentedDocumentsReDumpByteForByte) {
+  // The committed BENCH files and the golden ckpt-v1 file (written indented
+  // by an earlier build) pin dump()'s bytes.
+  for (const char* name : {"BENCH_E13.json", "BENCH_E14.json", "BENCH_E16.json",
+                           "tests/data/ckpt_v1_fig1a_golden.json"}) {
+    const std::string text = read_text(std::string(IBGP_SOURCE_DIR) + "/" + name);
+    ASSERT_FALSE(text.empty()) << name;
+    std::string error;
+    const auto doc = json::parse(text, &error);
+    ASSERT_TRUE(doc.has_value()) << name << ": " << error;
+    EXPECT_EQ(doc->dump(), text) << name;
+  }
+}
+
+TEST(JsonWriter, ScalarsHaveExactBytes) {
+  const auto compact = [](const json::Value& v) { return v.dump_compact(); };
+  EXPECT_EQ(compact(std::numeric_limits<std::int64_t>::min()), "-9223372036854775808");
+  EXPECT_EQ(compact(std::numeric_limits<std::int64_t>::max()), "9223372036854775807");
+  EXPECT_EQ(compact(std::numeric_limits<std::uint64_t>::max()), "18446744073709551615");
+  EXPECT_EQ(compact(std::int64_t{0}), "0");
+  EXPECT_EQ(compact(-1), "-1");
+  EXPECT_EQ(compact(42u), "42");
+  EXPECT_EQ(compact(true), "true");
+  EXPECT_EQ(compact(false), "false");
+  EXPECT_EQ(compact(nullptr), "null");
+  EXPECT_EQ(compact(json::Value{}), "null");
+  // Doubles: the shortest text that reads back to the same double.
+  EXPECT_EQ(compact(0.1), "0.1");
+  EXPECT_EQ(compact(1.0 / 3.0), "0.3333333333333333");
+  EXPECT_EQ(compact(2.5), "2.5");
+  EXPECT_EQ(compact(-0.5), "-0.5");
+  EXPECT_EQ(compact(100.0), "100");
+  EXPECT_EQ(compact(1e300), "1e+300");
+  EXPECT_EQ(compact(1e-7), "1e-07");
+  EXPECT_EQ(compact(5e-324), "5e-324");
+  // JSON has no Inf/NaN.
+  EXPECT_EQ(compact(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(compact(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(compact(std::numeric_limits<double>::quiet_NaN()), "null");
+  // A top-level scalar dump() ends in a newline; dump_compact() never does.
+  EXPECT_EQ(json::Value(7).dump(), "7\n");
+}
+
+TEST(JsonWriter, StringsEscapeExactlyTheRfcSet) {
+  const std::string text = std::string("q\" b\\ / \b\f\n\r\t ") + '\x01' + '\x1f' + '\x7f' +
+                           " \xC3\xA9";
+  const std::string expected = R"("q\" b\\ / \b\f\n\r\t \u0001\u001f)" + std::string("\x7f") +
+                               " \xC3\xA9\"";
+  EXPECT_EQ(json::Value(text).dump_compact(), expected);
+  EXPECT_EQ(json::escape(text), expected);
+  EXPECT_EQ(json::Value("").dump_compact(), "\"\"");
+  EXPECT_EQ(json::parse(expected)->as_string(), text);
+  // Keys go through the same escaper.
+  json::Object o;
+  o.emplace_back("k\"\n", 1);
+  EXPECT_EQ(json::Value(std::move(o)).dump_compact(), R"({"k\"\n": 1})");
+}
+
+TEST(JsonWriter, ContainersHaveExactBytesInBothForms) {
+  json::Object leaf;
+  leaf.emplace_back("j", json::Array{});
+  json::Array inner;
+  inner.emplace_back(1);
+  inner.emplace_back(json::Array{json::Value(2)});
+  json::Object top;
+  top.emplace_back("empty_array", json::Array{});
+  top.emplace_back("empty_object", json::Object{});
+  top.emplace_back("nested", std::move(inner));
+  top.emplace_back("k", std::move(leaf));
+  top.emplace_back("s", "x");
+  const json::Value doc(std::move(top));
+
+  EXPECT_EQ(doc.dump_compact(),
+            R"({"empty_array": [], "empty_object": {}, "nested": [1, [2]], "k": {"j": []}, "s": "x"})");
+  EXPECT_EQ(doc.dump(),
+            "{\n"
+            "  \"empty_array\": [],\n"
+            "  \"empty_object\": {},\n"
+            "  \"nested\": [\n"
+            "    1,\n"
+            "    [\n"
+            "      2\n"
+            "    ]\n"
+            "  ],\n"
+            "  \"k\": {\n"
+            "    \"j\": []\n"
+            "  },\n"
+            "  \"s\": \"x\"\n"
+            "}\n");
+  EXPECT_EQ(json::Value(json::Array{}).dump(), "[]\n");
+  EXPECT_EQ(json::Value(json::Object{}).dump_compact(), "{}");
+  // Either form reads back to the same document.
+  EXPECT_EQ(json::parse(doc.dump())->dump_compact(), doc.dump_compact());
+  EXPECT_EQ(json::parse(doc.dump_compact())->dump(), doc.dump());
+}
+
+TEST(JsonWriter, CopiesShareTheirPayload) {
+  json::Array numbers = json::num_array(std::vector<int>{1, 2, 3});
+  const json::Value original(std::move(numbers));
+  const json::Value copy = original;
+  EXPECT_EQ(&copy.as_array(), &original.as_array());
+  EXPECT_EQ(json::nums<int>(copy), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(JsonFiles, AtomicFilesAreCompactAndPlainFilesIndented) {
+  json::Object o;
+  o.emplace_back("k", json::Array{json::Value(1), json::Value(2)});
+  const json::Value doc(std::move(o));
+  const std::string atomic = testing::TempDir() + "ibgp_json_compact.json";
+  const std::string plain = testing::TempDir() + "ibgp_json_indented.json";
+  ASSERT_TRUE(json::write_file_atomic(atomic, doc));
+  ASSERT_TRUE(json::write_file(plain, doc));
+  EXPECT_EQ(read_text(atomic), R"({"k": [1, 2]})");
+  EXPECT_EQ(read_text(plain), doc.dump());
+  for (const auto& path : {atomic, plain}) {
+    const auto back = json::read_file(path);
+    ASSERT_TRUE(back.has_value()) << path;
+    EXPECT_EQ(back->dump(), doc.dump());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(JsonFiles, ReadFileDiagnosticsNameThePath) {
+  std::string error;
+  const std::string missing = testing::TempDir() + "ibgp_json_missing.json";
+  std::remove(missing.c_str());
+  EXPECT_FALSE(json::read_file(missing, &error).has_value());
+  EXPECT_EQ(error, "cannot open " + missing);
+
+  const std::string dir = testing::TempDir() + "ibgp_json_dir";
+  std::filesystem::create_directories(dir);
+  EXPECT_FALSE(json::read_file(dir, &error).has_value());
+  EXPECT_EQ(error, "read error on " + dir);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_FALSE(json::write_file(dir + "/no/such/dir.json", json::Value(1)));
 }
 
 }  // namespace
