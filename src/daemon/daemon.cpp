@@ -744,10 +744,8 @@ std::string Daemon::drain() {
     deliveries_total_ += result.deliveries;
     clock_ = std::max(clock_, result.end_time);
     last_result_ = std::move(result);
-    if (persistent() && !replaying_) {
-      write_checkpoint();
-      wal_reset();
-    }
+    // The journal may go only once a checkpoint holds what it recorded.
+    if (persistent() && !replaying_ && write_checkpoint()) wal_reset();
     drained_ = true;
   }
   const auto synth = synthesized_result();

@@ -4,8 +4,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/span.hpp"
+#include "util/hash.hpp"
 
 namespace ibgp::engine {
 
@@ -37,6 +39,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       nodes_(inst.node_count()),
       export_(inst.node_count()),
       session_base_(inst.node_count() + 1, 0),
+      memo_(inst.node_count()),
       node_up_(inst.node_count(), true),
       graceful_down_(inst.node_count(), false),
       gr_generation_(inst.node_count(), 0),
@@ -108,27 +111,47 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
     registry.counter(rule_metric_name(rule));
   }
   registry.gauge("engine.queue_depth_max");  // schedule-dependent: volatile
+  // A restored engine's memo starts cold, so its lookups are volatile too.
+  registry.counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
+  registry.counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
   // Profiler span sinks (set_profile): wall time is volatile by nature.
   obs::span_histogram(registry, "engine.span.delivery_ns");
   obs::span_histogram(registry, "engine.span.decision_ns");
   obs::span_histogram(registry, "engine.span.transfer_ns");
 }
 
-void EventEngine::set_metrics(obs::MetricsRegistry* registry) {
+void record_engine_counters(obs::MetricsRegistry& registry,
+                            const EventEngine::Result& result) {
+  registry.counter("engine.deliveries").add(result.deliveries);
+  for (const CounterField& field : kEngineCounters) {
+    registry.counter(field.metric).add(result.*field.member);
+  }
+  for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+    registry.counter(rule_metric_name(rule)).add(result.decisions_by_rule[rule]);
+  }
+}
+
+void EventEngine::set_metrics(obs::MetricsRegistry* registry, MetricScope scope) {
   require_unsealed("set_metrics");
   metrics_ = registry;
   handles_ = MetricHandles{};
   profile_ = ProfileHandles{};  // re-enable via set_profile after this call
   if (registry == nullptr) return;
   register_event_engine_metrics(*registry);
-  handles_.deliveries = &registry->counter("engine.deliveries");
-  for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
-    handles_.counters[i] = &registry->counter(kEngineCounters[i].metric);
-  }
-  for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
-    handles_.decided[rule] = &registry->counter(rule_metric_name(rule));
+  if (scope == MetricScope::kAll) {
+    handles_.deliveries = &registry->counter("engine.deliveries");
+    for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
+      handles_.counters[i] = &registry->counter(kEngineCounters[i].metric);
+    }
+    for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+      handles_.decided[rule] = &registry->counter(rule_metric_name(rule));
+    }
   }
   handles_.queue_depth_max = &registry->gauge("engine.queue_depth_max");
+  handles_.memo_hits =
+      &registry->counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
+  handles_.memo_misses =
+      &registry->counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
 }
 
 void EventEngine::set_profile(bool enabled) {
@@ -352,39 +375,86 @@ void EventEngine::enqueue_update(NodeId from, std::size_t peer_index, PathId pat
   }
 }
 
+const EventEngine::DecisionMemo::Entry* EventEngine::DecisionMemo::find(
+    std::uint64_t hash, const netsim::ShortestPaths* igp,
+    std::span<const bgp::Candidate> candidates) const {
+  for (const Entry& entry : entries) {
+    if (entry.hash == hash && entry.igp == igp &&
+        std::ranges::equal(entry.candidates, candidates)) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
+void EventEngine::DecisionMemo::remember(std::uint64_t hash, const netsim::ShortestPaths* igp,
+                                         std::span<const bgp::Candidate> candidates,
+                                         const core::NodeDecision& decision,
+                                         const bgp::SelectionProvenance& provenance) {
+  if (std::find(seen.begin(), seen.end(), hash) == seen.end()) {
+    seen[next_seen] = hash;  // first meeting: only note the key
+    next_seen = (next_seen + 1) % kSize;
+    return;
+  }
+  if (entries.size() < kSize) entries.emplace_back();
+  Entry& entry = entries[next_entry];
+  next_entry = (next_entry + 1) % kSize;
+  entry.hash = hash;
+  entry.igp = igp;
+  entry.candidates.assign(candidates.begin(), candidates.end());
+  entry.decision = decision;
+  entry.provenance = provenance;
+}
+
 void EventEngine::reconsider(NodeId u, SimTime now) {
   NodeState& node = nodes_[u];
 
   // Candidates: own injected exits plus everything some peer announced,
   // attributed to the lowest-BGP-id holder — the source export keys on too.
+  // The memo key's hash is folded in as the list is built.
   auto& candidates = candidates_;
   candidates.clear();
   sources_.clear();
+  std::uint64_t hash = reinterpret_cast<std::uintptr_t>(igp_.get());
   for (PathId p = 0; p < inst_->exits().size(); ++p) {
+    NodeId source = kNoNode;
+    BgpId learned_from = std::numeric_limits<BgpId>::max();
     if (node.own[p]) {
-      candidates.push_back({p, inst_->exits()[p].ebgp_peer});
-      sources_.push_back(kNoNode);
+      learned_from = inst_->exits()[p].ebgp_peer;
     } else if (!node.holders[p].empty()) {
-      NodeId source = kNoNode;
-      BgpId lowest = std::numeric_limits<BgpId>::max();
       for (const NodeId v : node.holders[p]) {
-        if (inst_->bgp_id(v) < lowest) {
-          lowest = inst_->bgp_id(v);
+        if (inst_->bgp_id(v) < learned_from) {
+          learned_from = inst_->bgp_id(v);
           source = v;
         }
       }
-      candidates.push_back({p, lowest});
-      sources_.push_back(source);
+    } else {
+      continue;
     }
+    candidates.push_back({p, learned_from});
+    sources_.push_back(source);
+    // One multiply per candidate: the hash only filters memo entries.
+    hash = (hash ^ (std::uint64_t{p} << 32 | learned_from)) * 0x9e3779b97f4a7c15ULL;
   }
+  hash = util::mix64(hash);
 
   // Selection prices candidates with the *current* IGP epoch: after a link
   // fault the same candidate set can pick a different exit purely because
   // the distances moved.
+  const core::NodeDecision* decision = &decision_;
   bgp::SelectionProvenance provenance;
   {
     const obs::Span span(profile_.live_decision);
-    core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
+    DecisionMemo& memo = memo_[u];
+    if (const DecisionMemo::Entry* hit = memo.find(hash, igp_.get(), candidates)) {
+      ++memo_hits_;
+      decision = &hit->decision;
+      provenance = hit->provenance;
+    } else {
+      ++memo_misses_;
+      core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
+      memo.remember(hash, igp_.get(), candidates, decision_, provenance);
+    }
   }
   if (provenance.selected) {
     ++counters_.decisions_total;
@@ -395,7 +465,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
-  const PathId new_best = decision_.best ? decision_.best->path : kNoPath;
+  const PathId new_best = decision->best ? decision->best->path : kNoPath;
   if (old_best != new_best) {
     ++counters_.best_flips;
     ++flips_by_node_[u];
@@ -416,7 +486,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
     trace_->emit(now, "decision", std::move(fields));
   }
-  node.best = decision_.best;
+  node.best = decision->best;
   // reconsider only runs on control-plane-up nodes, so the FIB tracks the
   // best route here.  A FIB frozen by graceful restart stays on its
   // pre-restart entry through the post-restart resync (when best is
@@ -433,7 +503,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // One export verdict per advertised path (both lists ascend by path).
   verdicts_.clear();
   std::size_t c = 0;
-  for (const PathId p : decision_.advertised) {
+  for (const PathId p : decision->advertised) {
     while (c < candidates.size() && candidates[c].path < p) ++c;
     const NodeId source =
         c < candidates.size() && candidates[c].path == p ? sources_[c] : kNoNode;
@@ -1066,16 +1136,20 @@ void EventEngine::flush_metrics(const Result& result) {
     counter->add(current - pushed);
     pushed = current;
   };
-  handles_.deliveries->add(result.deliveries);  // per-run, not cumulative
-  for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
-    const auto member = kEngineCounters[i].member;
-    push(handles_.counters[i], counters_.*member, flushed_.*member);
-  }
-  for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
-    push(handles_.decided[rule], counters_.decisions_by_rule[rule],
-         flushed_.decisions_by_rule[rule]);
+  if (handles_.deliveries != nullptr) {  // MetricScope::kAll
+    handles_.deliveries->add(result.deliveries);  // per-run, not cumulative
+    for (std::size_t i = 0; i < kEngineCounters.size(); ++i) {
+      const auto member = kEngineCounters[i].member;
+      push(handles_.counters[i], counters_.*member, flushed_.*member);
+    }
+    for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+      push(handles_.decided[rule], counters_.decisions_by_rule[rule],
+           flushed_.decisions_by_rule[rule]);
+    }
   }
   handles_.queue_depth_max->record_max(static_cast<std::int64_t>(max_queue_depth_));
+  handles_.memo_hits->add(std::exchange(memo_hits_, 0));
+  handles_.memo_misses->add(std::exchange(memo_misses_, 0));
 }
 
 EngineState EventEngine::capture() const {
@@ -1340,28 +1414,42 @@ void EventEngine::restore(const EngineState& state) {
   }
   check_contents(*inst_, state);
 
+  // Underlay: replay configured costs and down flags onto a fresh
+  // LinkState.  Every effective change is logged, so the current vector is
+  // the last logged one (the base one before the first).
+  netsim::LinkState link_state(inst_->physical());
+  const std::vector<Cost> base_effective(link_state.effective().begin(),
+                                         link_state.effective().end());
+  for (std::size_t link = 0; link < state.link_count; ++link) {
+    if (link_state.cost(link) != state.link_cost[link]) {
+      link_state.set_cost(link, state.link_cost[link]);
+    }
+    if (state.link_down[link]) link_state.set_down(link);
+  }
+  const auto& logged =
+      state.igp_log.empty() ? base_effective : state.igp_log.back().effective;
+  if (!std::ranges::equal(link_state.effective(), logged)) {
+    restore_error("link state does not match the last igp_log entry");
+  }
+
   mrai_ = state.mrai;
   stale_timer_ = state.stale_timer;
 
-  // Underlay first: replay configured costs and down flags onto a fresh
-  // LinkState, then re-materialize the current epoch and the epoch history
-  // through the instance's memoized SPF cache (same effective vector ->
-  // pointer-identical ShortestPaths, so continuity replay and epoch-revert
-  // identities survive the round trip).
-  link_state_ = netsim::LinkState(inst_->physical());
-  for (std::size_t link = 0; link < state.link_count; ++link) {
-    if (link_state_.cost(link) != state.link_cost[link]) {
-      link_state_.set_cost(link, state.link_cost[link]);
-    }
-    if (state.link_down[link]) link_state_.set_down(link);
-  }
-  igp_ = inst_->igp_epoch(link_state_.effective());
+  // Re-materialize the epoch history through the instance's memoized SPF
+  // cache (same effective vector -> pointer-identical ShortestPaths, so
+  // continuity replay and epoch-revert identities survive the round trip).
+  // The current epoch is the last logged object itself, so every epoch the
+  // engine uses stays alive in igp_log_, which the decision memo's keys
+  // rely on; the memo itself starts empty.
+  link_state_ = std::move(link_state);
   igp_log_.clear();
   igp_log_.reserve(state.igp_log.size());
   for (const auto& snapshot : state.igp_log) {
     auto epoch = inst_->igp_epoch(snapshot.effective);
     igp_log_.push_back({snapshot.time, epoch->fingerprint(), epoch, snapshot.effective});
   }
+  igp_ = igp_log_.empty() ? inst_->igp_handle() : igp_log_.back().igp;
+  memo_.assign(n, DecisionMemo{});
 
   nodes_ = state.nodes;
   // The export cache is derived: each node's first reconsider re-derives

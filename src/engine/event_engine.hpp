@@ -343,16 +343,25 @@ class EventEngine {
   /// so every message of the run is classified under one policy.
   void set_fault_injector(FaultInjector* injector);
 
+  /// Which of its metrics an engine pushes into an attached registry.
+  enum class MetricScope : std::uint8_t {
+    kAll,       ///< deterministic counters and volatile metrics
+    kVolatile,  ///< only the volatile ones; the caller records the Result's
+                ///< counters itself (record_engine_counters)
+  };
+
   /// Attaches a metrics registry (non-owning; nullptr detaches).  The
   /// engine pushes its deterministic counters (deliveries, updates,
   /// per-rule decisions, MRAI deferrals, epoch swaps, ...) into the
   /// registry at the end of each run() — counter increments commute, so a
   /// registry shared across sweep workers stays byte-identical across
-  /// --jobs (see obs/metrics.hpp).  Metric names are pre-registered via
+  /// --jobs (see obs/metrics.hpp) — unless `scope` is kVolatile.  The
+  /// volatile metrics (queue depth, decision-memo lookups, spans) are
+  /// pushed either way.  Metric names are pre-registered via
   /// register_event_engine_metrics(); attach before fan-out to keep
   /// snapshot ordering deterministic.  Same precondition as set_mrai: must
   /// be called before any event is scheduled.
-  void set_metrics(obs::MetricsRegistry* registry);
+  void set_metrics(obs::MetricsRegistry* registry, MetricScope scope = MetricScope::kAll);
 
   /// Attaches a trace sink (non-owning; nullptr detaches).  When the sink
   /// is enabled the engine emits ibgp-trace-v2 records for deliveries,
@@ -720,6 +729,43 @@ class EventEngine {
     bool resync = false;
   };
 
+  /// A node's recent core::decide results, so an orbit that keeps handing
+  /// the node the same candidate list pays a lookup instead of a selection
+  /// (DESIGN.md §13).  Derived scratch like ExportCache: never captured,
+  /// restored, journaled, hashed or exported.
+  struct DecisionMemo {
+    static constexpr std::size_t kSize = 8;
+    struct Entry {
+      std::uint64_t hash = 0;
+      // The key is (epoch, candidates).  The epoch pointer cannot name two
+      // different epochs during the engine's life: every epoch the engine
+      // has used stays alive in igp_log_ (or is the instance's base epoch),
+      // and a revert to an earlier link-state vector returns that same
+      // epoch object, so entries keep hitting across A->B->A churn.
+      const netsim::ShortestPaths* igp = nullptr;
+      std::vector<bgp::Candidate> candidates;  // ascending path order
+      core::NodeDecision decision;
+      bgp::SelectionProvenance provenance;
+    };
+    /// Hashes of the latest keys that missed.  Only a key met before gets
+    /// an entry: storing every miss costs rr-1k about 12% of its peak RSS
+    /// in candidate lists that never recur.
+    std::array<std::uint64_t, kSize> seen{};
+    std::vector<Entry> entries;  // grows to kSize, then replaced round robin
+    std::uint8_t next_seen = 0;
+    std::uint8_t next_entry = 0;
+
+    /// The entry of this key, or nullptr.  `hash` only filters: a hit
+    /// needs the epoch and every (path, learnedFrom) pair to be equal.
+    [[nodiscard]] const Entry* find(std::uint64_t hash, const netsim::ShortestPaths* igp,
+                                    std::span<const bgp::Candidate> candidates) const;
+    /// Records a missed key's decision; stored only if the key recurs.
+    void remember(std::uint64_t hash, const netsim::ShortestPaths* igp,
+                  std::span<const bgp::Candidate> candidates,
+                  const core::NodeDecision& decision,
+                  const bgp::SelectionProvenance& provenance);
+  };
+
   /// Throws std::logic_error once an event is scheduled: `setter` configures
   /// the whole run, so it must come first.
   void require_unsealed(const char* setter) const;
@@ -805,6 +851,11 @@ class EventEngine {
   std::vector<bgp::Candidate> candidates_;
   std::vector<NodeId> sources_;  // attributed holder per candidate
   core::NodeDecision decision_;
+  std::vector<DecisionMemo> memo_;  // per node
+  // Memo lookups not yet flushed into metrics_: volatile metric inputs (a
+  // restored engine starts cold), outside EngineCounters and every hash.
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_misses_ = 0;
   std::vector<ExportVerdict> verdicts_;
   std::vector<PathId> target_;
   std::vector<bool> node_up_;
@@ -837,6 +888,8 @@ class EventEngine {
     std::array<obs::Counter*, kEngineCounters.size()> counters{};  // kEngineCounters order
     std::array<obs::Counter*, bgp::kSelectionRuleCount> decided{};
     obs::Gauge* queue_depth_max = nullptr;
+    obs::Counter* memo_hits = nullptr;
+    obs::Counter* memo_misses = nullptr;
   } handles_;
   /// Profiler span sinks (set_profile); null = off, sites never read the
   /// clock.  The span sites read the `live_*` pointers, armed once per
@@ -880,6 +933,12 @@ class EventEngine {
 /// shared across sweep workers acquires its (insertion-ordered) layout
 /// deterministically on the main thread before fan-out.  Idempotent.
 void register_event_engine_metrics(obs::MetricsRegistry& registry);
+
+/// Adds a finished run's deterministic counters to `registry`, exactly as
+/// an engine attached with MetricScope::kAll pushes them over the run:
+/// engine.deliveries, every kEngineCounters row and engine.decided.*.
+void record_engine_counters(obs::MetricsRegistry& registry,
+                            const EventEngine::Result& result);
 
 /// Complete deterministic engine state, as captured by EventEngine::capture
 /// and rebuilt by EventEngine::restore.  Plain data by design: src/ckpt/

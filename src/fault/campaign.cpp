@@ -71,6 +71,22 @@ void register_campaign_metrics(obs::MetricsRegistry& registry) {
   engine::register_event_engine_metrics(registry);
 }
 
+void record_campaign_metrics(obs::MetricsRegistry& registry, const CampaignResult& campaign) {
+  engine::record_engine_counters(registry, campaign.run);
+  registry.counter("campaign.runs").increment();
+  if (campaign.reconverged()) registry.counter("campaign.reconverged").increment();
+  if (campaign.truncated()) registry.counter("campaign.truncated").increment();
+  if (!campaign.invariants.clean()) registry.counter("campaign.unclean").increment();
+  registry.counter("campaign.blackhole_ticks").add(campaign.continuity.blackhole_ticks);
+  registry.counter("campaign.stale_ticks").add(campaign.continuity.stale_ticks);
+  registry.counter("campaign.loop_ticks").add(campaign.continuity.loop_ticks);
+  registry.counter("campaign.deflection_ticks").add(campaign.continuity.deflection_ticks);
+  if (campaign.settle_time) {
+    registry.histogram("campaign.settle_time", settle_bounds())
+        .observe(static_cast<std::int64_t>(*campaign.settle_time));
+  }
+}
+
 namespace {
 
 // Everything downstream of the engine run — verdicts, fingerprint, metric
@@ -97,21 +113,7 @@ CampaignResult finish_campaign(engine::EventEngine& engine, const core::Instance
                                : 0;
   }
 
-  if (options.metrics != nullptr) {
-    auto& reg = *options.metrics;
-    reg.counter("campaign.runs").increment();
-    if (campaign.reconverged()) reg.counter("campaign.reconverged").increment();
-    if (campaign.truncated()) reg.counter("campaign.truncated").increment();
-    if (!campaign.invariants.clean()) reg.counter("campaign.unclean").increment();
-    reg.counter("campaign.blackhole_ticks").add(campaign.continuity.blackhole_ticks);
-    reg.counter("campaign.stale_ticks").add(campaign.continuity.stale_ticks);
-    reg.counter("campaign.loop_ticks").add(campaign.continuity.loop_ticks);
-    reg.counter("campaign.deflection_ticks").add(campaign.continuity.deflection_ticks);
-    if (campaign.settle_time) {
-      reg.histogram("campaign.settle_time", settle_bounds())
-          .observe(static_cast<std::int64_t>(*campaign.settle_time));
-    }
-  }
+  if (options.metrics != nullptr) record_campaign_metrics(*options.metrics, campaign);
 
   if (options.trace != nullptr && options.trace->enabled()) {
     util::json::Object fields;
@@ -136,7 +138,9 @@ void script_engine(engine::EventEngine& engine, const FaultScript& script,
                    const CampaignOptions& options, ScriptInjector& injector) {
   if (options.mrai > 0) engine.set_mrai(options.mrai);
   if (script.stale_timer > 0) engine.set_stale_timer(script.stale_timer);
-  if (options.metrics != nullptr) engine.set_metrics(options.metrics);
+  if (options.metrics != nullptr) {
+    engine.set_metrics(options.metrics, engine::EventEngine::MetricScope::kVolatile);
+  }
   if (options.profile) engine.set_profile(true);
   if (options.trace != nullptr) engine.set_trace(options.trace);
   engine.set_fault_injector(&injector);
@@ -161,10 +165,9 @@ engine::EngineState campaign_checkpoint(const core::Instance& inst,
                                         std::size_t deliveries_before_kill) {
   engine::EventEngine engine(inst, protocol, options.delay);
   ScriptInjector injector(script);
-  // A partial run must not flush partial counters into the registry — the
-  // resumed engine pushes the cumulative totals instead (delta flush), so
-  // the registry an uninterrupted run would have produced appears only
-  // after resume_campaign.
+  // A partial run records nothing: resume_campaign records the finished
+  // campaign, so the registry an uninterrupted run would have produced
+  // appears only after it.
   CampaignOptions partial = options;
   partial.metrics = nullptr;
   script_engine(engine, script, partial, injector);
@@ -192,7 +195,9 @@ CampaignResult resume_campaign(const core::Instance& inst, core::ProtocolKind pr
   // stale timer come back from the state itself.  The script is NOT
   // re-applied: its actions (and its RNG draws) live in the captured
   // pending-event queue.
-  if (options.metrics != nullptr) engine.set_metrics(options.metrics);
+  if (options.metrics != nullptr) {
+    engine.set_metrics(options.metrics, engine::EventEngine::MetricScope::kVolatile);
+  }
   if (options.profile) engine.set_profile(true);
   if (options.trace != nullptr) engine.set_trace(options.trace);
   engine.set_fault_injector(&injector);

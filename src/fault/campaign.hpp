@@ -142,4 +142,12 @@ std::uint64_t trace_hash(const engine::EventEngine& engine,
 /// threads.  Idempotent.
 void register_campaign_metrics(obs::MetricsRegistry& registry);
 
+/// Records a finished campaign's deterministic metrics: its run's engine
+/// counters (engine::record_engine_counters), the campaign.* aggregates
+/// and the settle-time histogram.  A campaign's engine pushes only its
+/// volatile metrics, and run_campaign, resume_campaign and a sweep cell
+/// replayed from its journal all record through this one function, so the
+/// registry is the same however the result was obtained.
+void record_campaign_metrics(obs::MetricsRegistry& registry, const CampaignResult& campaign);
+
 }  // namespace ibgp::fault

@@ -259,13 +259,17 @@ SweepResult run_sweep(std::span<const SweepCell> cells, const SweepOptions& opti
 
   const auto start = std::chrono::steady_clock::now();
 
-  // Resume pass: journaled cells load back; only the rest fan out.
+  // Resume pass: journaled cells load back and record their metrics as
+  // running them would have; only the rest fan out.
   std::vector<std::size_t> todo;
   todo.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (options.resume && !options.journal_dir.empty()) {
       if (auto loaded = load_journal_cell(options.journal_dir, i, cells[i])) {
         result.cells[i] = *std::move(loaded);
+        if (cells[i].options.metrics != nullptr) {
+          record_campaign_metrics(*cells[i].options.metrics, result.cells[i]);
+        }
         bump("supervisor.journal_hits");
         continue;
       }

@@ -592,6 +592,23 @@ TEST(CkptRestore, RejectsAFaultsAppliedCountOffTheFaultLog) {
   expect_rejected(state, "faults_applied");
 }
 
+// Every effective-cost change is logged, so the link state must end where
+// the epoch history does (the current epoch is the last logged one).
+TEST(CkptRestore, RejectsALinkStateOffTheLastIgpLogEntry) {
+  auto state = golden_state();
+  ASSERT_EQ(state.igp_log.size(), 1u);
+  const auto up = std::find(state.link_down.begin(), state.link_down.end(), false);
+  ASSERT_NE(up, state.link_down.end());
+  state.link_cost[static_cast<std::size_t>(up - state.link_down.begin())] += 1;
+  expect_rejected(state, "igp_log");
+}
+
+TEST(CkptRestore, RejectsAnEmptyIgpLogUnderChurnedLinks) {
+  auto state = golden_state();
+  state.igp_log.clear();
+  expect_rejected(state, "igp_log");
+}
+
 // --- supervisor --------------------------------------------------------------------
 
 std::vector<SweepCell> make_cells(const core::Instance& inst, std::size_t count) {
@@ -713,6 +730,44 @@ TEST(Supervisor, JournalResumeReproducesByteIdenticalSweepJson) {
     EXPECT_EQ(registry.counter_value("supervisor.journal_writes"), 2u);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(Supervisor, JournalReplayRecordsTheMetricsOfTheCellsItLoads) {
+  // A cell loaded from the journal must leave the registry exactly as
+  // running it does: engine counters, per-rule decisions, campaign.*
+  // aggregates and the settle-time histogram.
+  const auto inst = topo::fig3();
+  const std::string dir = testing::TempDir() + "ibgp_journal_metrics";
+  std::filesystem::remove_all(dir);
+  // Runs the sweep into a fresh registry; returns its fingerprint.
+  const auto sweep = [&](bool resume, std::uint64_t& fingerprint) {
+    obs::MetricsRegistry registry;
+    register_supervisor_metrics(registry);
+    auto cells = make_cells(inst, 6);
+    for (auto& cell : cells) cell.options.metrics = &registry;
+    SweepOptions options;
+    options.jobs = 2;
+    options.journal_dir = dir;
+    options.resume = resume;
+    options.metrics = &registry;
+    const auto result = run_sweep(cells, options);
+    fingerprint = registry.fingerprint();
+    return result.fingerprint;
+  };
+  std::uint64_t want = 0;
+  const std::uint64_t sweep_fp = sweep(false, want);
+
+  std::uint64_t replayed = 0;
+  EXPECT_EQ(sweep(true, replayed), sweep_fp);  // every cell from the journal
+  EXPECT_EQ(replayed, want);
+
+  std::filesystem::remove(journal_cell_path(dir, 0));
+  std::filesystem::remove(journal_cell_path(dir, 3));
+  std::filesystem::remove(journal_cell_path(dir, 4));
+  std::uint64_t half = 0;
+  EXPECT_EQ(sweep(true, half), sweep_fp);  // three cells run, three replayed
+  EXPECT_EQ(half, want);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Supervisor, JournalIdentityMismatchForcesRerun) {

@@ -483,6 +483,50 @@ TEST(DaemonRecovery, ResumeRefusesAJournalItCannotRead) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DaemonRecovery, DrainKeepsTheJournalWhenItsCheckpointFails) {
+  // The journal holds the only durable copy of every record acknowledged
+  // since the last checkpoint, so a drain whose checkpoint cannot be
+  // written must leave it in place for the next resume.
+  StreamOptions stream;
+  stream.seed = 7;
+  stream.state_records = 40;
+  stream.query_rate = 0.0;
+  auto lines = generate_stream(topo::fig1a(), ProtocolKind::kModified, stream);
+  ASSERT_NE(lines.back().find("\"drain\""), std::string::npos);
+  lines.pop_back();  // the test drains by hand
+  const std::string stats = R"({"ev": "query", "q": "stats"})";
+  DaemonOptions options;
+  options.ckpt_every = 16;  // the journal holds records 33-40 at the drain
+
+  std::string want;
+  {
+    const auto ref_dir = fresh_state_dir("drain-fail-ref");
+    options.state_dir = ref_dir.string();
+    Daemon daemon(fig1a_shared(), ProtocolKind::kModified, options);
+    for (const auto& line : lines) daemon.handle_line(line);
+    want = daemon.handle_line(stats);
+    std::filesystem::remove_all(ref_dir);
+  }
+  ASSERT_NE(want.find("\"applied_seq\": 40"), std::string::npos) << want;
+
+  const auto dir = fresh_state_dir("drain-fail");
+  options.state_dir = dir.string();
+  {
+    Daemon victim(fig1a_shared(), ProtocolKind::kModified, options);
+    for (const auto& line : lines) ASSERT_FALSE(is_error_reply(victim.handle_line(line)));
+    // A directory where the checkpoint's temporary file goes fails the write.
+    std::filesystem::create_directory(dir / "checkpoint.json.tmp");
+    EXPECT_NE(victim.drain().find("\"ev\": \"drained\""), std::string::npos);
+  }
+  std::filesystem::remove(dir / "checkpoint.json.tmp");
+
+  options.resume = true;
+  Daemon survivor(fig1a_shared(), ProtocolKind::kModified, options);
+  survivor.handle_line(lines[0]);
+  EXPECT_EQ(survivor.handle_line(stats), want);
+  std::filesystem::remove_all(dir);
+}
+
 // --- graceful drain ---------------------------------------------------------
 
 TEST(DaemonDrain, DrainIsIdempotentAndRefusesFurtherState) {
