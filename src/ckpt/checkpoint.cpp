@@ -1,31 +1,146 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <type_traits>
+
+#include "util/fileio.hpp"
 
 namespace ibgp::ckpt {
 
 namespace {
 
-using util::json::Array;
-using util::json::num_array;
-using util::json::nums;
-using util::json::Object;
 using util::json::Value;
 
 constexpr util::json::Reader kReader{kCkptSchema};
 
-template <typename T>
-Array nested_num_array(const std::vector<std::vector<T>>& rows) {
-  Array out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.emplace_back(num_array(row));
-  return out;
-}
+// Compact JSON text, spelled as Value::dump_compact spells it (", " and
+// ": " separators), written at a cursor into one buffer.  The buffer is
+// grown ahead of the cursor and trimmed once at the end, so integers go
+// through std::to_chars straight into reserved bytes and a whole number
+// array is covered by one capacity check.
+class TextWriter {
+ public:
+  explicit TextWriter(std::string& out) : out_(out), used_(out.size()) {}
+  TextWriter(const TextWriter&) = delete;
+  TextWriter& operator=(const TextWriter&) = delete;
+  ~TextWriter() { out_.resize(used_); }
 
-template <typename T>
-std::vector<T> get_nums(const Value& doc, std::string_view key) {
-  return nums<T>(kReader.field(doc, key));
-}
+  void raw(std::string_view text) {
+    std::memcpy(reserve(text.size()), text.data(), text.size());
+    used_ += text.size();
+  }
+
+  /// A quoted string, escaped by util::json's own escaper.
+  void string(std::string_view text) {
+    out_.resize(used_);
+    util::json::append_escaped(out_, text);
+    used_ = out_.size();
+  }
+
+  /// `, "name": ` before every member but an object's first.  Keys are
+  /// plain identifiers, so they need no escaping.
+  void key(std::string_view name, bool first = false) {
+    char* at = reserve(name.size() + 6);
+    if (!first) {
+      *at++ = ',';
+      *at++ = ' ';
+    }
+    *at++ = '"';
+    at = std::copy(name.begin(), name.end(), at);
+    *at++ = '"';
+    *at++ = ':';
+    *at++ = ' ';
+    used_ = static_cast<std::size_t>(at - out_.data());
+  }
+
+  void boolean(bool value) { raw(value ? "true" : "false"); }
+
+  /// One integer; bools are spelled 0/1, as v1 stores bool vectors.
+  template <typename Int>
+  void number(Int value) {
+    used_ = static_cast<std::size_t>(put(reserve(kMaxDigits), value) - out_.data());
+  }
+
+  /// `[a, b, ...]` of integers (or bools as 0/1), one capacity check.
+  template <typename Range>
+  void numbers(const Range& values) {
+    char* at = reserve(2 + std::size(values) * (kMaxDigits + 2));
+    *at++ = '[';
+    bool first = true;
+    for (const auto value : values) {
+      if (!first) {
+        *at++ = ',';
+        *at++ = ' ';
+      }
+      first = false;
+      at = put(at, value);
+    }
+    *at++ = ']';
+    used_ = static_cast<std::size_t>(at - out_.data());
+  }
+
+  /// `[[...], [...]]`, one numbers() per row.
+  template <typename Rows>
+  void rows(const Rows& rows) {
+    raw("[");
+    bool first = true;
+    for (const auto& row : rows) {
+      if (!first) raw(", ");
+      first = false;
+      numbers(row);
+    }
+    raw("]");
+  }
+
+  /// `[a, b, ...]` of a fixed handful of integers.
+  template <typename... Ints>
+  void tuple(Ints... values) {
+    char* at = reserve(2 + sizeof...(Ints) * (kMaxDigits + 2));
+    *at++ = '[';
+    bool first = true;
+    ((at = put(separate(at, first), values)), ...);
+    *at++ = ']';
+    used_ = static_cast<std::size_t>(at - out_.data());
+  }
+
+ private:
+  /// Every int64 and uint64 fits in 20 characters, sign included.
+  static constexpr std::size_t kMaxDigits = 20;
+
+  char* reserve(std::size_t bytes) {
+    if (out_.size() - used_ < bytes) {
+      out_.resize(std::max({out_.size() * 2, used_ + bytes, std::size_t{4096}}));
+    }
+    return out_.data() + used_;
+  }
+
+  static char* separate(char* at, bool& first) {
+    if (!first) {
+      *at++ = ',';
+      *at++ = ' ';
+    }
+    first = false;
+    return at;
+  }
+
+  template <typename Int>
+  static char* put(char* at, Int value) {
+    if constexpr (std::is_same_v<Int, bool>) {
+      *at = value ? '1' : '0';
+      return at + 1;
+    } else {
+      return std::to_chars(at, at + kMaxDigits, value).ptr;
+    }
+  }
+
+  std::string& out_;
+  std::size_t used_;
+};
 
 std::vector<bool> get_bools(const Value& doc, std::string_view key) {
   std::vector<bool> out;
@@ -38,9 +153,16 @@ std::vector<bool> get_bools(const Value& doc, std::string_view key) {
 }
 
 template <typename T>
+std::vector<T> get_ints(const Value& doc, std::string_view key) {
+  return kReader.integers<T>(kReader.field(doc, key), key);
+}
+
+template <typename T>
 std::vector<std::vector<T>> get_nested(const Value& doc, std::string_view key) {
   std::vector<std::vector<T>> out;
-  for (const auto& row : kReader.field(doc, key).as_array()) out.push_back(nums<T>(row));
+  for (const auto& row : kReader.field(doc, key).as_array()) {
+    out.push_back(kReader.integers<T>(row, key));
+  }
   return out;
 }
 
@@ -50,130 +172,177 @@ std::array<std::uint64_t, bgp::kSelectionRuleCount> get_rules(const Value& value
 
 }  // namespace
 
-util::json::Value engine_state_json(const engine::EngineState& state) {
-  Object doc;
-  doc.emplace_back("schema", kCkptSchema);
-  doc.emplace_back("instance", state.instance);
-  doc.emplace_back("protocol", state.protocol);
-  doc.emplace_back("node_count", state.node_count);
-  doc.emplace_back("path_count", state.path_count);
-  doc.emplace_back("link_count", state.link_count);
-  doc.emplace_back("mrai", state.mrai);
-  doc.emplace_back("stale_timer", state.stale_timer);
-  doc.emplace_back("next_seq", state.next_seq);
-  doc.emplace_back("session_msg_seq", state.session_msg_seq);
-  doc.emplace_back("deliveries", state.deliveries);
-  doc.emplace_back("end_time", state.end_time);
+void append_engine_state_text(std::string& out, const engine::EngineState& state) {
+  TextWriter w(out);
+  w.raw("{");
+  w.key("schema", true);
+  w.string(kCkptSchema);
+  w.key("instance");
+  w.string(state.instance);
+  w.key("protocol");
+  w.string(state.protocol);
+  w.key("node_count");
+  w.number(state.node_count);
+  w.key("path_count");
+  w.number(state.path_count);
+  w.key("link_count");
+  w.number(state.link_count);
+  w.key("mrai");
+  w.number(state.mrai);
+  w.key("stale_timer");
+  w.number(state.stale_timer);
+  w.key("next_seq");
+  w.number(state.next_seq);
+  w.key("session_msg_seq");
+  w.number(state.session_msg_seq);
+  w.key("deliveries");
+  w.number(state.deliveries);
+  w.key("end_time");
+  w.number(state.end_time);
 
-  {
-    Array queue;
-    queue.reserve(state.queue.size());
-    for (const engine::Event& e : state.queue) {
-      // 10th element (since the causal-lineage change): the causal parent
-      // seq, -1 for roots.  Readers accept the pre-lineage 9-tuple too.
-      queue.emplace_back(Array{
-          e.time, e.seq, static_cast<std::uint64_t>(e.kind), static_cast<std::int64_t>(e.from),
-          static_cast<std::int64_t>(e.to), static_cast<std::int64_t>(e.path),
-          std::uint64_t{e.announce ? 1u : 0u}, e.epoch, e.cost,
-          e.pid == engine::kNoCause ? std::int64_t{-1} : static_cast<std::int64_t>(e.pid)});
-    }
-    doc.emplace_back("queue", std::move(queue));
+  // Queue entries are 10-tuples; the 10th element (since the causal-lineage
+  // change) is the causal parent seq, -1 for roots.  Readers accept the
+  // pre-lineage 9-tuple too.  Ids are written as their uint32 value, so
+  // kNoNode and kNoPath read 4294967295.
+  w.key("queue");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.queue.size(); ++i) {
+    const engine::Event& e = state.queue[i];
+    if (i > 0) w.raw(", ");
+    w.tuple(e.time, e.seq, static_cast<std::uint64_t>(e.kind), e.from, e.to, e.path,
+            e.announce, e.epoch, e.cost,
+            e.pid == engine::kNoCause ? std::int64_t{-1} : static_cast<std::int64_t>(e.pid));
   }
+  w.raw("]");
 
-  {
-    Array nodes;
-    nodes.reserve(state.nodes.size());
-    for (const engine::NodeState& node : state.nodes) {
-      // v1 spells the optional best route as a flag plus the route's
-      // fields, which hold RouteView's defaults when there is none.
-      const bgp::RouteView best = node.best.value_or(bgp::RouteView{});
-      Object out;
-      out.emplace_back("holders", nested_num_array(node.holders));
-      out.emplace_back("stale", nested_num_array(node.stale));
-      out.emplace_back("own", num_array(node.own));
-      out.emplace_back("has_best", node.best.has_value());
-      out.emplace_back("best_path", static_cast<std::int64_t>(best.path));
-      out.emplace_back("best_metric", static_cast<std::int64_t>(best.metric));
-      out.emplace_back("best_learned_from", static_cast<std::uint64_t>(best.learned_from));
-      out.emplace_back("best_is_ebgp", best.is_ebgp);
-      out.emplace_back("advertised_out", nested_num_array(node.advertised_out));
-      out.emplace_back("desired_out", nested_num_array(node.desired_out));
-      out.emplace_back("mrai_ready", num_array(node.mrai_ready));
-      out.emplace_back("flush_scheduled", num_array(node.flush_scheduled));
-      nodes.emplace_back(std::move(out));
-    }
-    doc.emplace_back("nodes", std::move(nodes));
+  // v1 spells the optional best route as a flag plus the route's fields,
+  // which hold RouteView's defaults when there is none.  The two flags are
+  // JSON booleans; bool vectors are 0/1.
+  w.key("nodes");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.nodes.size(); ++i) {
+    const engine::NodeState& node = state.nodes[i];
+    const bgp::RouteView best = node.best.value_or(bgp::RouteView{});
+    if (i > 0) w.raw(", ");
+    w.raw("{");
+    w.key("holders", true);
+    w.rows(node.holders);
+    w.key("stale");
+    w.rows(node.stale);
+    w.key("own");
+    w.numbers(node.own);
+    w.key("has_best");
+    w.boolean(node.best.has_value());
+    w.key("best_path");
+    w.number(best.path);
+    w.key("best_metric");
+    w.number(best.metric);
+    w.key("best_learned_from");
+    w.number(best.learned_from);
+    w.key("best_is_ebgp");
+    w.boolean(best.is_ebgp);
+    w.key("advertised_out");
+    w.rows(node.advertised_out);
+    w.key("desired_out");
+    w.rows(node.desired_out);
+    w.key("mrai_ready");
+    w.numbers(node.mrai_ready);
+    w.key("flush_scheduled");
+    w.numbers(node.flush_scheduled);
+    w.raw("}");
   }
+  w.raw("]");
 
   // Bool vectors are written 0/1 instead of true/false: they are long, and
   // the compact form keeps node-count^2 session masks readable in a diff.
-  doc.emplace_back("session_last_delivery", num_array(state.session_last_delivery));
-  doc.emplace_back("session_epoch", num_array(state.session_epoch));
-  doc.emplace_back("session_admin_down", num_array(state.session_admin_down));
-  doc.emplace_back("node_up", num_array(state.node_up));
-  doc.emplace_back("graceful_down", num_array(state.graceful_down));
-  doc.emplace_back("gr_generation", num_array(state.gr_generation));
-  doc.emplace_back("fib", num_array(state.fib));
-  doc.emplace_back("fib_frozen", num_array(state.fib_frozen));
-  doc.emplace_back("ebgp_live", num_array(state.ebgp_live));
-  doc.emplace_back("link_cost", num_array(state.link_cost));
-  doc.emplace_back("link_down", num_array(state.link_down));
+  w.key("session_last_delivery");
+  w.numbers(state.session_last_delivery);
+  w.key("session_epoch");
+  w.numbers(state.session_epoch);
+  w.key("session_admin_down");
+  w.numbers(state.session_admin_down);
+  w.key("node_up");
+  w.numbers(state.node_up);
+  w.key("graceful_down");
+  w.numbers(state.graceful_down);
+  w.key("gr_generation");
+  w.numbers(state.gr_generation);
+  w.key("fib");
+  w.numbers(state.fib);
+  w.key("fib_frozen");
+  w.numbers(state.fib_frozen);
+  w.key("ebgp_live");
+  w.numbers(state.ebgp_live);
+  w.key("link_cost");
+  w.numbers(state.link_cost);
+  w.key("link_down");
+  w.numbers(state.link_down);
 
-  {
-    Array igp;
-    igp.reserve(state.igp_log.size());
-    for (const auto& snapshot : state.igp_log) {
-      igp.emplace_back(Array{snapshot.time, num_array(snapshot.effective)});
-    }
-    doc.emplace_back("igp_log", std::move(igp));
+  w.key("igp_log");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.igp_log.size(); ++i) {
+    if (i > 0) w.raw(", ");
+    w.raw("[");
+    w.number(state.igp_log[i].time);
+    w.raw(", ");
+    w.numbers(state.igp_log[i].effective);
+    w.raw("]");
   }
+  w.raw("]");
 
-  {
-    Object counters;
-    for (const engine::CounterField& field : engine::kEngineCounters) {
-      if (field.ckpt != nullptr) counters.emplace_back(field.ckpt, state.*field.member);
-    }
-    doc.emplace_back("counters", std::move(counters));
+  w.key("counters");
+  w.raw("{");
+  bool first = true;
+  for (const engine::CounterField& field : engine::kEngineCounters) {
+    if (field.ckpt == nullptr) continue;
+    w.key(field.ckpt, first);
+    w.number(state.*field.member);
+    first = false;
   }
+  w.raw("}");
 
-  doc.emplace_back("decisions_by_rule", num_array(state.decisions_by_rule));
-  {
-    Array by_node;
-    by_node.reserve(state.decisions_by_node.size());
-    for (const auto& rules : state.decisions_by_node) by_node.emplace_back(num_array(rules));
-    doc.emplace_back("decisions_by_node", std::move(by_node));
-  }
-  doc.emplace_back("flips_by_node", num_array(state.flips_by_node));
+  w.key("decisions_by_rule");
+  w.numbers(state.decisions_by_rule);
+  w.key("decisions_by_node");
+  w.rows(state.decisions_by_node);
+  w.key("flips_by_node");
+  w.numbers(state.flips_by_node);
 
-  {
-    Array flaps;
-    flaps.reserve(state.flap_log.size());
-    for (const auto& r : state.flap_log) {
-      flaps.emplace_back(Array{r.time, std::uint64_t{r.node}, static_cast<std::int64_t>(r.old_best),
-                               static_cast<std::int64_t>(r.new_best)});
-    }
-    doc.emplace_back("flap_log", std::move(flaps));
+  w.key("flap_log");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.flap_log.size(); ++i) {
+    const auto& r = state.flap_log[i];
+    if (i > 0) w.raw(", ");
+    w.tuple(r.time, r.node, r.old_best, r.new_best);
   }
-  {
-    Array faults;
-    faults.reserve(state.fault_log.size());
-    for (const auto& r : state.fault_log) {
-      faults.emplace_back(Array{r.time, static_cast<std::uint64_t>(r.kind),
-                                static_cast<std::int64_t>(r.a), static_cast<std::int64_t>(r.b),
-                                static_cast<std::int64_t>(r.cost)});
-    }
-    doc.emplace_back("fault_log", std::move(faults));
+  w.raw("]");
+  w.key("fault_log");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.fault_log.size(); ++i) {
+    const auto& r = state.fault_log[i];
+    if (i > 0) w.raw(", ");
+    w.tuple(r.time, static_cast<std::uint64_t>(r.kind), r.a, r.b, r.cost);
   }
-  {
-    Array fibs;
-    fibs.reserve(state.fib_log.size());
-    for (const auto& r : state.fib_log) {
-      fibs.emplace_back(Array{r.time, std::uint64_t{r.node}, static_cast<std::int64_t>(r.old_path),
-                              static_cast<std::int64_t>(r.new_path)});
-    }
-    doc.emplace_back("fib_log", std::move(fibs));
+  w.raw("]");
+  w.key("fib_log");
+  w.raw("[");
+  for (std::size_t i = 0; i < state.fib_log.size(); ++i) {
+    const auto& r = state.fib_log[i];
+    if (i > 0) w.raw(", ");
+    w.tuple(r.time, r.node, r.old_path, r.new_path);
   }
-  return Value(std::move(doc));
+  w.raw("]");
+  w.raw("}");
+}
+
+std::string engine_state_text(const engine::EngineState& state) {
+  std::string out;
+  append_engine_state_text(out, state);
+  return out;
+}
+
+util::json::Value engine_state_json(const engine::EngineState& state) {
+  return util::json::parse(engine_state_text(state)).value();
 }
 
 engine::EngineState parse_engine_state(const util::json::Value& doc) {
@@ -206,15 +375,17 @@ engine::EngineState parse_engine_state(const util::json::Value& doc) {
     const std::uint64_t kind = tuple[2].as_uint();
     if (kind > 0xFF) kReader.fail("queue entry kind out of range");
     e.kind = static_cast<engine::EventKind>(kind);  // restore checks the range
-    e.from = static_cast<NodeId>(tuple[3].as_int());
-    e.to = static_cast<NodeId>(tuple[4].as_int());
-    e.path = static_cast<PathId>(tuple[5].as_int());
+    e.from = kReader.integer<NodeId>(tuple[3], "queue entry from");
+    e.to = kReader.integer<NodeId>(tuple[4], "queue entry to");
+    e.path = kReader.integer<PathId>(tuple[5], "queue entry path");
     e.announce = tuple[6].as_uint() != 0;
     e.epoch = tuple[7].as_uint();
     e.cost = tuple[8].as_int();
     if (tuple.size() == 10) {
-      const std::int64_t pid = tuple[9].as_int();
-      e.pid = pid < 0 ? engine::kNoCause : static_cast<std::uint64_t>(pid);
+      // -1 marks a root; anything else is the seq of the causing event.
+      const auto pid = kReader.integer<std::int64_t>(tuple[9], "queue entry pid");
+      if (pid < -1) kReader.fail("queue entry pid: " + std::to_string(pid) + " is out of range");
+      e.pid = pid == -1 ? engine::kNoCause : static_cast<std::uint64_t>(pid);
     }
     state.queue.push_back(e);
   }
@@ -225,33 +396,34 @@ engine::EngineState parse_engine_state(const util::json::Value& doc) {
     node.stale = get_nested<NodeId>(entry, "stale");
     node.own = get_bools(entry, "own");
     const bool has_best = kReader.field(entry, "has_best").as_bool();
-    const bgp::RouteView best{static_cast<PathId>(kReader.field(entry, "best_path").as_int()),
-                              kReader.field(entry, "best_metric").as_int(),
-                              static_cast<BgpId>(kReader.get_uint(entry, "best_learned_from")),
-                              kReader.field(entry, "best_is_ebgp").as_bool()};
+    const bgp::RouteView best{
+        kReader.integer<PathId>(kReader.field(entry, "best_path"), "best_path"),
+        kReader.field(entry, "best_metric").as_int(),
+        kReader.integer<BgpId>(kReader.field(entry, "best_learned_from"), "best_learned_from"),
+        kReader.field(entry, "best_is_ebgp").as_bool()};
     if (has_best) node.best = best;
     node.advertised_out = get_nested<PathId>(entry, "advertised_out");
     node.desired_out = get_nested<PathId>(entry, "desired_out");
-    node.mrai_ready = get_nums<engine::SimTime>(entry, "mrai_ready");
+    node.mrai_ready = get_ints<engine::SimTime>(entry, "mrai_ready");
     node.flush_scheduled = get_bools(entry, "flush_scheduled");
     state.nodes.push_back(std::move(node));
   }
 
-  state.session_last_delivery = get_nums<engine::SimTime>(doc, "session_last_delivery");
-  state.session_epoch = get_nums<std::uint64_t>(doc, "session_epoch");
+  state.session_last_delivery = get_ints<engine::SimTime>(doc, "session_last_delivery");
+  state.session_epoch = get_ints<std::uint64_t>(doc, "session_epoch");
   state.session_admin_down = get_bools(doc, "session_admin_down");
   state.node_up = get_bools(doc, "node_up");
   state.graceful_down = get_bools(doc, "graceful_down");
-  state.gr_generation = get_nums<std::uint64_t>(doc, "gr_generation");
-  state.fib = get_nums<PathId>(doc, "fib");
+  state.gr_generation = get_ints<std::uint64_t>(doc, "gr_generation");
+  state.fib = get_ints<PathId>(doc, "fib");
   state.fib_frozen = get_bools(doc, "fib_frozen");
   state.ebgp_live = get_bools(doc, "ebgp_live");
-  state.link_cost = get_nums<Cost>(doc, "link_cost");
+  state.link_cost = get_ints<Cost>(doc, "link_cost");
   state.link_down = get_bools(doc, "link_down");
 
   for (const auto& entry : kReader.field(doc, "igp_log").as_array()) {
     const auto& tuple = kReader.tuple(entry, 2, "igp_log entry");
-    state.igp_log.push_back({tuple[0].as_uint(), nums<Cost>(tuple[1])});
+    state.igp_log.push_back({tuple[0].as_uint(), kReader.integers<Cost>(tuple[1], "igp_log")});
   }
 
   const Value& counters = kReader.field(doc, "counters");
@@ -262,13 +434,13 @@ engine::EngineState parse_engine_state(const util::json::Value& doc) {
   for (const auto& rules : kReader.field(doc, "decisions_by_node").as_array()) {
     state.decisions_by_node.push_back(get_rules(rules));
   }
-  state.flips_by_node = get_nums<std::size_t>(doc, "flips_by_node");
+  state.flips_by_node = get_ints<std::size_t>(doc, "flips_by_node");
 
   for (const auto& entry : kReader.field(doc, "flap_log").as_array()) {
     const auto& t = kReader.tuple(entry, 4, "flap_log entry");
-    state.flap_log.push_back({t[0].as_uint(), static_cast<NodeId>(t[1].as_uint()),
-                              static_cast<PathId>(t[2].as_int()),
-                              static_cast<PathId>(t[3].as_int())});
+    state.flap_log.push_back({t[0].as_uint(), kReader.integer<NodeId>(t[1], "flap_log node"),
+                              kReader.integer<PathId>(t[2], "flap_log old_best"),
+                              kReader.integer<PathId>(t[3], "flap_log new_best")});
   }
   for (const auto& entry : kReader.field(doc, "fault_log").as_array()) {
     const auto& t = kReader.tuple(entry, 5, "fault_log entry");
@@ -277,22 +449,22 @@ engine::EngineState parse_engine_state(const util::json::Value& doc) {
       kReader.fail("fault_log entry kind out of range");
     }
     state.fault_log.push_back({t[0].as_uint(), static_cast<engine::FaultKind>(kind),
-                               static_cast<NodeId>(t[2].as_int()),
-                               static_cast<NodeId>(t[3].as_int()), t[4].as_int()});
+                               kReader.integer<NodeId>(t[2], "fault_log a"),
+                               kReader.integer<NodeId>(t[3], "fault_log b"), t[4].as_int()});
   }
   // v1 stores no faults_applied counter: it is the fault log's length.
   state.faults_applied = state.fault_log.size();
   for (const auto& entry : kReader.field(doc, "fib_log").as_array()) {
     const auto& t = kReader.tuple(entry, 4, "fib_log entry");
-    state.fib_log.push_back({t[0].as_uint(), static_cast<NodeId>(t[1].as_uint()),
-                             static_cast<PathId>(t[2].as_int()),
-                             static_cast<PathId>(t[3].as_int())});
+    state.fib_log.push_back({t[0].as_uint(), kReader.integer<NodeId>(t[1], "fib_log node"),
+                             kReader.integer<PathId>(t[2], "fib_log old_path"),
+                             kReader.integer<PathId>(t[3], "fib_log new_path")});
   }
   return state;
 }
 
 bool save_checkpoint(const std::string& path, const engine::EngineState& state) {
-  return util::json::write_file_atomic(path, engine_state_json(state));
+  return util::fileio::write_file_atomic(path, engine_state_text(state));
 }
 
 engine::EngineState load_checkpoint(const std::string& path) {

@@ -27,21 +27,32 @@
 // Within v1, unknown keys are ignored on read (additive evolution without a
 // bump) and key order is free, but every v1 key is required; a truncated
 // or hand-edited file fails with a diagnostic naming the missing/ill-typed
-// field.  Decoding checks only shape; EventEngine::restore then checks the
-// identity header (instance, protocol, node/path/link counts) and every
-// node, path, session and link id against the restoring engine's instance,
-// so a corrupt file is refused, never run with silent state corruption.
+// field.  Decoding checks shape and range: a number that does not fit the
+// field's type (an id past 2^32-1, say) is refused with the field's name,
+// never narrowed.  Ids are written as their uint32 value, so kNoNode and
+// kNoPath read 4294967295; a queue entry's causal parent is -1 for a root.
+// EventEngine::restore then checks the identity header (instance,
+// protocol, node/path/link counts) and every node, path, session and link
+// id against the restoring engine's instance, so a corrupt file is
+// refused, never run with silent state corruption.
 // tests/data/ckpt_v1_fig1a_golden.json, written by an earlier build, pins
 // that older v1 files still load and resume.
 //
-// Files are written via write-to-temp-then-rename (util::json::
+// Files are written via write-to-temp-then-rename (util::fileio::
 // write_file_atomic), so a reader — including a resume after SIGKILL —
 // only ever observes a complete old or complete new checkpoint.  They hold
-// engine_state_json(...).dump_compact(): one line, about a third of the
-// indented size older builds wrote.  Loading accepts either form, so
-// indented files from those builds (the golden file among them) still
-// resume.  engine_state_json is the only ibgp-ckpt-v1 encoder; the daemon
-// checkpoint embeds its tree rather than streaming a second encoding.
+// one line of compact JSON, about a third of the indented size older
+// builds wrote.  Loading accepts either form, so indented files from those
+// builds (the golden file among them) still resume.
+//
+// There is one ibgp-ckpt-v1 encoder: append_engine_state_text, which
+// writes that line straight from the EngineState, without building a
+// util::json::Value tree first.  save_checkpoint and the daemon checkpoint
+// (which splices the text into its own document) write through it, and
+// engine_state_json is json::parse of its output, so a caller that wants a
+// tree gets the same bytes parsed back rather than a second encoding.  The
+// tree builder older builds used lives on, frozen, as the differential
+// reference in tests/ckpt_reference.hpp.
 
 #include <optional>
 #include <string>
@@ -54,12 +65,21 @@ namespace ibgp::ckpt {
 /// The exact schema tag ibgp-ckpt-v1 files carry.
 inline constexpr std::string_view kCkptSchema = "ibgp-ckpt-v1";
 
-/// Encodes a captured engine state as an ibgp-ckpt-v1 document.
+/// Appends the ibgp-ckpt-v1 text of a captured engine state to `out`: one
+/// line of compact JSON, spelled exactly as util::json::Value::dump_compact
+/// spells the document (", " and ": " separators, keys in v1's order).
+void append_engine_state_text(std::string& out, const engine::EngineState& state);
+
+/// The ibgp-ckpt-v1 text of `state`, as append_engine_state_text writes it.
+[[nodiscard]] std::string engine_state_text(const engine::EngineState& state);
+
+/// The ibgp-ckpt-v1 document of `state` as a tree: engine_state_text
+/// parsed back, for callers that edit or inspect the document.
 [[nodiscard]] util::json::Value engine_state_json(const engine::EngineState& state);
 
 /// Decodes an ibgp-ckpt-v1 document.  Throws std::runtime_error with a
-/// field-naming diagnostic on schema mismatch, missing keys, or ill-typed
-/// values.  (Cross-checking against a concrete instance happens later, in
+/// field-naming diagnostic on schema mismatch, missing keys, ill-typed
+/// values, or numbers out of their field's range.  (Cross-checking against a concrete instance happens later, in
 /// EventEngine::restore.)
 [[nodiscard]] engine::EngineState parse_engine_state(const util::json::Value& doc);
 

@@ -229,8 +229,14 @@ bool Daemon::write_checkpoint() {
   counters.emplace_back("faults", faults_);
   counters.emplace_back("deliveries", deliveries_total_);
   doc.emplace_back("counters", std::move(counters));
-  doc.emplace_back("engine", ckpt::engine_state_json(engine_->capture()));
-  if (!json::write_file_atomic(ckpt_path(), json::Value(std::move(doc)))) return false;
+  // The engine state is the last member: its ibgp-ckpt-v1 text goes in as
+  // the encoder writes it, spliced in front of the closing brace.
+  std::string text = json::Value(std::move(doc)).dump_compact();
+  text.pop_back();
+  text += ", \"engine\": ";
+  ckpt::append_engine_state_text(text, engine_->capture());
+  text += '}';
+  if (!fileio::write_file_atomic(ckpt_path(), text)) return false;
   metrics_.counter("daemon.checkpoints", obs::MetricClass::kVolatile).increment();
   return true;
 }
@@ -699,14 +705,13 @@ std::string Daemon::handle_whatif(const WireRecord& rec) {
   std::string fault_error = validate_fault(rec);
   if (!fault_error.empty()) return fault_error;
 
-  // Sandboxed continuity probe: clone the live engine via capture/restore,
-  // inject the hypothetical fault one tick past the stream clock, and run
-  // the clone to quiescence.  The live engine is never touched, so what-if
-  // queries stay pure reads and need no journaling.
-  const engine::EngineState snap = engine_->capture();
-  engine::EventEngine sandbox(*instance_, protocol_);
+  // Sandboxed continuity probe: fork the live engine in memory, inject the
+  // hypothetical fault one tick past the stream clock, and run the fork to
+  // quiescence.  The live engine is never touched, so what-if queries stay
+  // pure reads and need no journaling.  The fork's run continues the live
+  // engine's last Result, so its deliveries count from that run's total.
+  engine::EventEngine sandbox = engine_->fork();
   try {
-    sandbox.restore(snap);
     schedule_fault_on(sandbox, rec, clock_ + 1);
   } catch (const std::exception& e) {
     return error_out(ErrorCode::kState, e.what(), nullptr);
@@ -729,7 +734,7 @@ std::string Daemon::handle_whatif(const WireRecord& rec) {
   out.emplace_back("converged", result.converged);
   out.emplace_back("budget_exhausted", result.budget_exhausted);
   // The continuity cost of the hypothetical: churn the fault would cause.
-  out.emplace_back("deliveries", result.deliveries - snap.deliveries);
+  out.emplace_back("deliveries", result.deliveries - last_result_.deliveries);
   out.emplace_back("updates_sent",
                    static_cast<std::uint64_t>(result.updates_sent - last_result_.updates_sent));
   out.emplace_back("best_flips",
@@ -745,7 +750,10 @@ std::string Daemon::drain() {
     clock_ = std::max(clock_, result.end_time);
     last_result_ = std::move(result);
     // The journal may go only once a checkpoint holds what it recorded.
-    if (persistent() && !replaying_ && write_checkpoint()) wal_reset();
+    if (persistent() && !replaying_) {
+      drain_checkpoint_failed_ = !write_checkpoint();
+      if (!drain_checkpoint_failed_) wal_reset();
+    }
     drained_ = true;
   }
   const auto synth = synthesized_result();
@@ -758,6 +766,8 @@ std::string Daemon::drain() {
   out.emplace_back("wire_hash", hex64(wire_hash_));
   out.emplace_back("trace_hash", hex64(fault::trace_hash(*engine_, synth)));
   out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
+  // The next resume replays the journal instead of starting from this state.
+  if (drain_checkpoint_failed_) out.emplace_back("checkpoint_failed", true);
   return render_reply(std::move(out));
 }
 

@@ -85,8 +85,10 @@ class Daemon {
   std::string handle_line(std::string_view line);
 
   /// Graceful drain: run the engine to quiescence, write the final
-  /// checkpoint, and return the `drained` reply.  Further state records
-  /// are refused (queries still answer).  Idempotent.
+  /// checkpoint, and return the `drained` reply, which carries
+  /// `"checkpoint_failed": true` when that checkpoint could not be written
+  /// (the journal is then kept, and the next resume replays it).  Further
+  /// state records are refused (queries still answer).  Idempotent.
   std::string drain();
 
   [[nodiscard]] bool hello_done() const { return hello_done_; }
@@ -142,6 +144,7 @@ class Daemon {
   bool drained_ = false;
   bool resumed_ = false;
   bool replaying_ = false;  // WAL replay in progress: no re-journaling
+  bool drain_checkpoint_failed_ = false;  // the drain's checkpoint was not written
 
   std::uint64_t applied_seq_ = 0;
   SimTime clock_ = 0;

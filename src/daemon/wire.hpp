@@ -9,7 +9,10 @@
 // increasing client `seq`), *queries* (best route, forwarding path,
 // oscillation status, stats/health, sandboxed what-if), and finally
 // `drain`.  State records mutate the engine and are journaled before they
-// are acknowledged; queries are pure reads and are never journaled.
+// are acknowledged; queries are pure reads and are never journaled.  The
+// `drained` reply ends with `"checkpoint_failed": true` when the drain's
+// final checkpoint could not be written (the journal is kept for the next
+// resume); a successful drain's reply has no such field.
 //
 // Ingest is strict by design (Godfrey: tiny input perturbations flip
 // convergence, so nothing malformed may reach the engine): unknown record

@@ -1225,6 +1225,26 @@ EngineState EventEngine::capture() const {
   return state;
 }
 
+EventEngine EventEngine::fork() const {
+  EventEngine copy(*this);
+  copy.injector_ = nullptr;
+  copy.metrics_ = nullptr;
+  copy.handles_ = MetricHandles{};
+  copy.trace_ = nullptr;
+  copy.profile_ = ProfileHandles{};
+  copy.deadline_.reset();
+  // The Result continuation a capture() would carry into restore(): an
+  // unconsumed resume base, else the totals of the last finished run.
+  if (resume_deliveries_ == 0 && resume_end_time_ == 0) {
+    copy.resume_deliveries_ = last_run_deliveries_;
+    copy.resume_end_time_ = last_run_end_time_;
+  }
+  copy.last_run_deliveries_ = 0;
+  copy.last_run_end_time_ = 0;
+  copy.sealed_ = true;
+  return copy;
+}
+
 namespace {
 
 [[noreturn]] void restore_error(const std::string& what) {

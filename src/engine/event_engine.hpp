@@ -537,7 +537,7 @@ class EventEngine {
   /// link state with the IGP epoch history, every log, all counters, and
   /// the cumulative deliveries/end_time of the run so far.  Callable
   /// between run() calls (never concurrently with one).  The snapshot is
-  /// plain data: serialize it with ckpt::engine_state_json (ibgp-ckpt-v1).
+  /// plain data: serialize it with ckpt::engine_state_text (ibgp-ckpt-v1).
   ///
   /// Not captured (by design): the delay function, fault injector, metrics
   /// registry, and trace sink — non-serializable attachments the restoring
@@ -557,6 +557,21 @@ class EventEngine {
   /// instance/protocol, is malformed, or holds a node, path, session or
   /// link id the instance does not have; nothing is assigned then.
   void restore(const EngineState& state);
+
+  /// An in-memory copy of this engine, for a sandbox that must not touch
+  /// it: the copy's next run() and everything after it — Result (the
+  /// cumulative deliveries/end_time base included, so a delivery budget
+  /// cuts it off where it would cut the restored engine off), best routes,
+  /// logs, trace hash and a later capture() — equal what capture() into a
+  /// fresh engine plus restore() would give, without the round trip
+  /// through EngineState or restore's validation.  Every attachment is
+  /// detached: no fault injector, metrics registry (nor the cached metric
+  /// handles), trace sink, profiler spans or deadline, so nothing the copy
+  /// does reaches the parent's sinks.  The delay function is copied, so
+  /// the copy shares whatever it refers to.  The copy is sealed, as a
+  /// restored engine is.  Callable between run() calls (never concurrently
+  /// with one).
+  [[nodiscard]] EventEngine fork() const;
 
   // --- inspection -------------------------------------------------------------
 
@@ -674,6 +689,10 @@ class EventEngine {
   [[nodiscard]] std::span<const FibRecord> fib_log() const { return fib_log_; }
 
  private:
+  /// Copies every member, attachments included; fork() detaches them.
+  EventEngine(const EventEngine&) = default;
+  EventEngine& operator=(const EventEngine&) = delete;
+
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;

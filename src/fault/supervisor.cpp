@@ -112,7 +112,7 @@ engine::EventEngine::Result parse_run(const Value& doc) {
   run.next_fault_time = kReader.get_uint(doc, "next_fault_time");
   run.deliveries = kReader.get_uint(doc, "deliveries");
   run.end_time = kReader.get_uint(doc, "end_time");
-  run.final_best = util::json::nums<PathId>(kReader.field(doc, "final_best"));
+  run.final_best = kReader.integers<PathId>(kReader.field(doc, "final_best"), "final_best");
   for (const engine::CounterField& field : engine::kEngineCounters) {
     run.*field.member = kReader.get_uint(doc, field.name);
   }

@@ -13,10 +13,6 @@
 
 namespace ibgp::util::json {
 
-namespace {
-
-// Appends `text` quoted and escaped per RFC 8259, copying each run of
-// characters that need no escape in one piece.
 void append_escaped(std::string& out, std::string_view text) {
   out += '"';
   std::size_t run = 0;
@@ -43,6 +39,8 @@ void append_escaped(std::string& out, std::string_view text) {
   out.append(text, run);
   out += '"';
 }
+
+namespace {
 
 // std::to_chars straight into `out`: 20 characters hold every int64 and
 // uint64, sign included.

@@ -25,6 +25,7 @@
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -127,6 +128,11 @@ class Value {
 /// Quotes and escapes a string per RFC 8259.
 std::string escape(std::string_view text);
 
+/// Appends escape(text) to `out`, copying each run of characters that need
+/// no escape in one piece.  Both writers quote through it, and so does the
+/// ibgp-ckpt-v1 text encoder.
+void append_escaped(std::string& out, std::string_view text);
+
 /// Writes `value.dump()` (indented, for documents people diff) to `path`.
 /// Returns false (and leaves no partial file guarantee) when the file
 /// cannot be opened or written.
@@ -195,6 +201,40 @@ class Reader {
   [[nodiscard]] const Array& tuple(const Value& value, std::size_t arity,
                                    std::string_view what = {}) const;
 
+  /// `value` as an integer of type T, read as int64 or uint64 by T's
+  /// signedness.  A number T cannot hold exactly is refused, never narrowed:
+  /// "<what>: <value> is out of range".
+  template <typename T>
+  [[nodiscard]] T integer(const Value& value, std::string_view what) const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    bool fits = false;
+    T out{};
+    try {
+      if constexpr (std::is_signed_v<T>) {
+        const std::int64_t v = value.as_int();
+        fits = std::in_range<T>(v);
+        out = static_cast<T>(v);
+      } else {
+        const std::uint64_t v = value.as_uint();
+        fits = std::in_range<T>(v);
+        out = static_cast<T>(v);
+      }
+    } catch (const std::runtime_error&) {
+    }
+    if (!fits) fail(std::string(what) + ": " + value.dump_compact() + " is out of range");
+    return out;
+  }
+
+  /// `array` as integers of type T, each checked as integer() checks it.
+  template <typename T>
+  [[nodiscard]] std::vector<T> integers(const Value& array, std::string_view what) const {
+    const Array& values = array.as_array();
+    std::vector<T> out;
+    out.reserve(values.size());
+    for (const Value& v : values) out.push_back(integer<T>(v, what));
+    return out;
+  }
+
   /// `value` as exactly N non-negative integers ("<what> length mismatch").
   template <std::size_t N>
   [[nodiscard]] std::array<std::uint64_t, N> uints(const Value& value,
@@ -221,23 +261,6 @@ Array num_array(const Range& values) {
       out.emplace_back(static_cast<std::int64_t>(v));
     } else {
       out.emplace_back(static_cast<std::uint64_t>(v));
-    }
-  }
-  return out;
-}
-
-/// Inverse of num_array: each element read with the accessor matching T's
-/// signedness, then narrowed to T.
-template <typename T>
-std::vector<T> nums(const Value& array) {
-  const Array& values = array.as_array();
-  std::vector<T> out;
-  out.reserve(values.size());
-  for (const auto& v : values) {
-    if constexpr (std::is_signed_v<T>) {
-      out.push_back(static_cast<T>(v.as_int()));
-    } else {
-      out.push_back(static_cast<T>(v.as_uint()));
     }
   }
   return out;

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -607,6 +608,111 @@ TEST(CkptRestore, RejectsAnEmptyIgpLogUnderChurnedLinks) {
   auto state = golden_state();
   state.igp_log.clear();
   expect_rejected(state, "igp_log");
+}
+
+// --- decoder range checks ----------------------------------------------------------
+//
+// Ids are 32-bit: a number past 2^32-1 in an id field must be refused with
+// the field's name, not narrowed into a different, valid-looking id.
+
+// One step into a document: a member name, or an array index when empty.
+struct Step {
+  std::string key;
+  std::size_t index = 0;
+};
+
+// `doc` with the value at `path` replaced by `value`.
+util::json::Value replaced(const util::json::Value& doc, std::span<const Step> path,
+                           const util::json::Value& value) {
+  if (path.empty()) return value;
+  if (!path.front().key.empty()) {
+    util::json::Object members = doc.as_object();
+    for (auto& [key, member] : members) {
+      if (key == path.front().key) member = replaced(member, path.subspan(1), value);
+    }
+    return util::json::Value(std::move(members));
+  }
+  util::json::Array elements = doc.as_array();
+  auto& element = elements.at(path.front().index);
+  element = replaced(element, path.subspan(1), value);
+  return util::json::Value(std::move(elements));
+}
+
+void expect_refused_by_name(const util::json::Value& doc, const std::string& field) {
+  try {
+    (void)ckpt::parse_engine_state(doc);
+    ADD_FAILURE() << "a too-wide " << field << " was narrowed instead of refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field + ": "), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+  }
+}
+
+constexpr std::uint64_t k2to32 = std::uint64_t{1} << 32;
+
+TEST(CkptDecode, RefusesAHolderPastTheIdRange) {
+  // Node A's path-0 holder is c1 (1); 2^32 + 1 used to read back as 1.
+  const std::vector<Step> path = {{"nodes"}, {"", 0}, {"holders"}, {"", 0}, {"", 0}};
+  ASSERT_EQ(replaced(golden_doc(), path, std::uint64_t{1}).dump_compact(),
+            golden_doc().dump_compact());
+  expect_refused_by_name(replaced(golden_doc(), path, k2to32 + 1), "holders");
+}
+
+TEST(CkptDecode, RefusesAFibEntryPastTheIdRange) {
+  expect_refused_by_name(replaced(golden_doc(), {{{"fib"}, {"", 2}}}, k2to32 + 1), "fib");
+}
+
+TEST(CkptDecode, RefusesAFlapLogNodePastTheIdRange) {
+  const std::vector<Step> path = {{"flap_log"}, {"", 0}, {"", 1}};
+  expect_refused_by_name(replaced(golden_doc(), path, k2to32 + 1), "flap_log node");
+}
+
+TEST(CkptDecode, RefusesAQueueSenderPastTheIdRange) {
+  const std::vector<Step> path = {{"queue"}, {"", 0}, {"", 3}};
+  expect_refused_by_name(replaced(golden_doc(), path, k2to32), "queue entry from");
+  expect_refused_by_name(replaced(golden_doc(), path, std::int64_t{-1}), "queue entry from");
+}
+
+TEST(CkptDecode, RootPidsStayMinusOneAndOtherNegativesAreRefused) {
+  const auto state = golden_state();
+  const auto root = std::find_if(state.queue.begin(), state.queue.end(),
+                                 [](const engine::Event& e) { return e.pid == engine::kNoCause; });
+  ASSERT_NE(root, state.queue.end());
+  const std::vector<Step> path = {
+      {"queue"}, {"", static_cast<std::size_t>(root - state.queue.begin())}, {"", 9}};
+  try {
+    (void)ckpt::parse_engine_state(replaced(golden_doc(), path, std::int64_t{-2}));
+    ADD_FAILURE() << "a pid of -2 was read as a root";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("queue entry pid"), std::string::npos) << e.what();
+  }
+}
+
+TEST(CkptDecode, JournalFinalBestPastTheIdRangeIsRefused) {
+  const auto inst = topo::fig1a();
+  FaultScriptConfig config;
+  config.seed = 101;
+  config.session_flaps = 1;
+  config.window_end = 100;
+  SweepCell cell;
+  cell.instance = &inst;
+  cell.protocol = ProtocolKind::kModified;
+  cell.script = make_fault_script(inst, config);
+  cell.group = "range";
+  cell.seed = config.seed;
+  const CampaignResult result = run_campaign(inst, cell.protocol, cell.script, {});
+  const auto doc = journal_cell_json(0, cell, result);
+  ASSERT_EQ(parse_journal_cell(doc).run.final_best, result.run.final_best);
+
+  // Path 1 + 2^32 narrowed to path 1, a different route than the cell's.
+  const PathId best = result.run.final_best.at(0);
+  const std::vector<Step> path = {{"run"}, {"final_best"}, {"", 0}};
+  try {
+    (void)parse_journal_cell(replaced(doc, path, k2to32 + (best + 1) % 3));
+    ADD_FAILURE() << "a too-wide final_best entry was narrowed instead of refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("final_best: "), std::string::npos) << e.what();
+  }
 }
 
 // --- supervisor --------------------------------------------------------------------

@@ -26,6 +26,8 @@
 #include <variant>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
+#include "ckpt_reference.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/queue.hpp"
 #include "daemon/service.hpp"
@@ -516,7 +518,11 @@ TEST(DaemonRecovery, DrainKeepsTheJournalWhenItsCheckpointFails) {
     for (const auto& line : lines) ASSERT_FALSE(is_error_reply(victim.handle_line(line)));
     // A directory where the checkpoint's temporary file goes fails the write.
     std::filesystem::create_directory(dir / "checkpoint.json.tmp");
-    EXPECT_NE(victim.drain().find("\"ev\": \"drained\""), std::string::npos);
+    const std::string drained = victim.drain();
+    EXPECT_NE(drained.find("\"ev\": \"drained\""), std::string::npos) << drained;
+    // The reply says so, every time it is asked.
+    EXPECT_NE(drained.find(", \"checkpoint_failed\": true}"), std::string::npos) << drained;
+    EXPECT_EQ(victim.drain(), drained);
   }
   std::filesystem::remove(dir / "checkpoint.json.tmp");
 
@@ -524,6 +530,53 @@ TEST(DaemonRecovery, DrainKeepsTheJournalWhenItsCheckpointFails) {
   Daemon survivor(fig1a_shared(), ProtocolKind::kModified, options);
   survivor.handle_line(lines[0]);
   EXPECT_EQ(survivor.handle_line(stats), want);
+  std::filesystem::remove_all(dir);
+}
+
+// --- replies pinned across builds --------------------------------------------
+
+std::vector<std::string> read_lines(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+TEST(DaemonGolden, ChaosGateStreamAnswersThePinnedReplies) {
+  // IBGP_WIRE_GOLDEN holds what an earlier build's ibgpd answered to
+  // `wire_client --figure fig1a --protocol modified --seed 7 --records 60`
+  // with --ckpt-every 8: acks, reads, what-ifs, stats and the drained line
+  // with its trace hash and metrics fingerprint.  CI diffs a live ibgpd
+  // against the same file.
+  StreamOptions stream;
+  stream.seed = 7;
+  stream.state_records = 60;
+  const auto lines = generate_stream(topo::fig1a(), ProtocolKind::kModified, stream);
+  const auto golden = read_lines(IBGP_WIRE_GOLDEN);
+  ASSERT_EQ(golden.size(), lines.size());
+  std::size_t whatifs = 0;
+  for (const auto& reply : golden) whatifs += reply.find("\"ev\": \"whatif\"") != std::string::npos;
+  EXPECT_GT(whatifs, 0u);
+
+  const auto dir = fresh_state_dir("golden");
+  DaemonOptions options;
+  options.state_dir = dir.string();
+  options.ckpt_every = 8;
+  Daemon daemon(fig1a_shared(), ProtocolKind::kModified, options);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(daemon.handle_line(lines[i]), golden[i]) << "line " << i << ": " << lines[i];
+  }
+
+  // The drain's checkpoint holds the bytes the tree encoder wrote: the
+  // outer document dumped compact around the reference engine encoding.
+  std::ifstream in(dir / "checkpoint.json", std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const auto doc = util::json::parse(text).value();
+  util::json::Object outer = doc.as_object();
+  ASSERT_EQ(outer.back().first, "engine");
+  outer.back().second =
+      reference::engine_state_json(ckpt::parse_engine_state(doc.at("engine")));
+  EXPECT_EQ(util::json::Value(std::move(outer)).dump_compact(), text);
   std::filesystem::remove_all(dir);
 }
 
@@ -540,6 +593,7 @@ TEST(DaemonDrain, DrainIsIdempotentAndRefusesFurtherState) {
 
   const std::string once = daemon.drain();
   EXPECT_NE(once.find("\"ev\": \"drained\""), std::string::npos);
+  EXPECT_EQ(once.find("checkpoint_failed"), std::string::npos) << once;
   EXPECT_EQ(daemon.drain(), once);
   EXPECT_TRUE(std::filesystem::exists(dir / "checkpoint.json"));
 

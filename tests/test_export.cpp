@@ -240,7 +240,7 @@ TEST(MraiExport, EveryPeerSyncInsideTheHoldDownStillCounts) {
 // --- per-session send state <-> dense checkpoint arrays ---------------------------
 
 std::string state_json(const EngineState& state) {
-  return ckpt::engine_state_json(state).dump_compact();
+  return ckpt::engine_state_text(state);
 }
 
 TEST(ExportState, RestoreAtEveryDeliveryStepsLikeTheOriginal) {

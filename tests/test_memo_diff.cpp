@@ -40,6 +40,7 @@
 #include "fault/script.hpp"
 #include "fault/sweep.hpp"
 #include "forwarding_reference.hpp"
+#include "scenarios.hpp"
 #include "obs/metrics.hpp"
 #include "selection_reference.hpp"
 #include "topo/dsl.hpp"
@@ -58,78 +59,14 @@ using core::ProtocolKind;
 using engine::EngineState;
 using engine::EventEngine;
 using engine::SimTime;
-
-struct Variant {
-  ProtocolKind protocol;
-  SimTime mrai;
-};
-
-constexpr Variant kVariants[] = {
-    {ProtocolKind::kStandard, 0}, {ProtocolKind::kWalton, 0}, {ProtocolKind::kModified, 0},
-    {ProtocolKind::kStandard, 6}, {ProtocolKind::kWalton, 6}, {ProtocolKind::kModified, 6},
-};
-
-std::string describe(const Variant& variant) {
-  return std::string(core::protocol_name(variant.protocol)) +
-         " mrai=" + std::to_string(variant.mrai);
-}
-
-/// Per-message jitter, so updates on different sessions overtake each other.
-EventEngine::DelayFn jittered_delay(std::uint64_t seed) {
-  return [seed](NodeId from, NodeId to, std::uint64_t seq) -> SimTime {
-    const std::uint64_t key =
-        util::hash_combine(util::hash_combine(util::hash_combine(seed, from), to), seq);
-    return 1 + util::mix64(key) % 5;
-  };
-}
-
-/// Every fault kind the engine models, as far as the instance can host it.
-/// Each link-cost change is a jolt followed by its revert (A -> B -> A).
-fault::FaultScript full_fault_script(const core::Instance& inst, std::uint64_t seed) {
-  const bool links = inst.physical().link_count() > 0;
-  fault::FaultScriptConfig config;
-  config.seed = seed;
-  config.window_start = 5;
-  config.window_end = 250;
-  config.session_flaps = inst.sessions().session_count() > 0 ? 3 : 0;
-  config.crashes = 1;
-  config.graceful_restarts = 2;
-  config.stale_timer = seed % 2 == 0 ? 30 : 0;
-  config.exit_flaps = inst.exits().empty() ? 0 : 2;
-  config.link_cost_changes = links ? 3 : 0;
-  config.link_downs = links ? 1 : 0;
-  config.partitions = links ? 1 : 0;
-  config.loss_prob = 0.02;
-  config.dup_prob = 0.02;
-  return fault::make_fault_script(inst, config);
-}
-
-/// A fresh engine carrying the scripted run's attachments; `restore`
-/// (when given) replaces the scheduling.
-struct Scripted {
-  std::unique_ptr<EventEngine> engine;
-  std::unique_ptr<fault::ScriptInjector> injector;
-};
-
-Scripted scripted_engine(const core::Instance& inst, const Variant& variant,
-                         const fault::FaultScript& script, const EventEngine::DelayFn& delay,
-                         obs::MetricsRegistry* metrics = nullptr,
-                         const EngineState* restore = nullptr) {
-  Scripted out{std::make_unique<EventEngine>(inst, variant.protocol, delay),
-               std::make_unique<fault::ScriptInjector>(script)};
-  EventEngine& engine = *out.engine;
-  if (metrics != nullptr) engine.set_metrics(metrics);
-  engine.set_fault_injector(out.injector.get());
-  if (restore != nullptr) {
-    engine.restore(*restore);
-    return out;
-  }
-  if (variant.mrai > 0) engine.set_mrai(variant.mrai);
-  if (script.stale_timer > 0) engine.set_stale_timer(script.stale_timer);
-  engine.inject_all_exits(0);
-  fault::apply_script(script, engine);
-  return out;
-}
+using scenarios::describe;
+using scenarios::differential_config;
+using scenarios::full_fault_script;
+using scenarios::jittered_delay;
+using scenarios::kVariants;
+using scenarios::Scripted;
+using scenarios::scripted_engine;
+using scenarios::Variant;
 
 std::string path_list(const std::vector<PathId>& paths) {
   std::string out = "{";
@@ -176,7 +113,7 @@ std::string route(const std::optional<bgp::RouteView>& view) {
 
 std::string state_json(EngineState state) {
   state.deliveries = 0;  // a restored run continues the count; the rest must agree
-  return ckpt::engine_state_json(state).dump_compact();
+  return ckpt::engine_state_text(state);
 }
 
 std::uint64_t memo_hits(const obs::MetricsRegistry& registry) {
@@ -239,19 +176,6 @@ void run_differential(const core::Instance& inst, const Variant& variant, std::u
   for (const auto& fault : run.engine->fault_log()) {
     if (fault.kind == engine::FaultKind::kGracefulDown) ++coverage.graceful_downs;
   }
-}
-
-topo::RandomConfig differential_config(std::uint64_t seed) {
-  topo::RandomConfig config;
-  config.clusters = 3 + seed % 3;
-  config.min_clients = 1;
-  config.max_clients = 2 + seed % 3;
-  config.second_reflector_prob = seed % 3 == 0 ? 0.5 : 0.0;
-  config.neighbor_ases = 1 + seed % 3;
-  config.exits = 4 + seed % 4;
-  config.extra_link_prob = 0.3;
-  config.max_exit_cost = static_cast<Cost>(seed % 4);
-  return config;
 }
 
 TEST(MemoDiff, FiguresMatchReferenceAndColdTwinsAfterEveryDelivery) {

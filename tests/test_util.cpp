@@ -588,7 +588,27 @@ TEST(JsonWriter, CopiesShareTheirPayload) {
   const json::Value original(std::move(numbers));
   const json::Value copy = original;
   EXPECT_EQ(&copy.as_array(), &original.as_array());
-  EXPECT_EQ(json::nums<int>(copy), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(json::Reader("test").integers<int>(copy, "numbers"), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(JsonReader, IntegersOutsideTheirTypeAreRefusedByName) {
+  const json::Reader reader("ibgp-test-v1");
+  const auto doc = json::parse(R"({"ids": [0, 4294967295, 4294967297], "neg": [-1]})").value();
+  const auto& ids = doc.at("ids").as_array();
+  EXPECT_EQ(reader.integer<std::uint32_t>(ids[1], "ids"), 4294967295u);
+  EXPECT_EQ(reader.integer<std::int64_t>(doc.at("neg").as_array()[0], "neg"), -1);
+  for (const auto& [field, value] :
+       {std::pair<std::string, json::Value>{"ids", doc.at("ids")}, {"neg", doc.at("neg")}}) {
+    try {
+      (void)reader.integers<std::uint32_t>(value, field);
+      ADD_FAILURE() << field << " was narrowed instead of refused";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("ibgp-test-v1: " + field + ": "), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((void)reader.integer<std::int32_t>(json::Value("7"), "text"), std::runtime_error);
 }
 
 TEST(JsonFiles, AtomicFilesAreCompactAndPlainFilesIndented) {
