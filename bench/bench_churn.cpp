@@ -135,17 +135,7 @@ void report() {
   auto cells = make_grid(figures, kSeeds, kBudget);
 
   bench::ObsSession obs;
-  obs.open();
-  for (const auto& [name, inst] : figures) {
-    if (inst.name() == "fig1a" || inst.name() == "fig3") obs.attach_spf(inst);
-  }
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/true);
-
-  auto sweep_options = bench::sweep_options("main");
-  sweep_options.metrics = &obs.registry;
-  const auto sweep = fault::run_sweep(cells, sweep_options);
-  std::fprintf(stderr, "sweep: %zu cells in %.2fs on %zu jobs\n", cells.size(),
-               sweep.wall_seconds, sweep.jobs);
+  const auto sweep = bench::run_full_sweep(obs, cells);
 
   std::size_t next = 0;
   for (const auto& [name, inst] : figures) {
@@ -178,26 +168,7 @@ void report() {
               " traced against the epoch live in each interval; clean counts runs the\n"
               " churn-aware invariants — incl. the IGP-metric currency check — passed)\n");
 
-  std::printf("\ndecision provenance (whole sweep):\n");
-  obs.print_decision_summary();
-  obs.print_span_summary();
-
-  if (!bench::config().json_path.empty()) {
-    util::json::Object doc;
-    doc.emplace_back("schema", "ibgp-bench-v1");
-    doc.emplace_back("bench", "bench_churn");
-    doc.emplace_back("experiment", "E16");
-    doc.emplace_back("mode", "full");
-    doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-    if (bench::config().profile) {
-      util::json::Object vol;
-      vol.emplace_back("spans", obs.span_volatile_json());
-      doc.emplace_back("volatile", util::json::Value(std::move(vol)));
-    }
-    doc.emplace_back("sweep", fault::sweep_json(cells, sweep));
-    bench::write_json(util::json::Value(std::move(doc)));
-  }
-  obs.finish();
+  bench::finish_full_sweep(obs, "bench_churn", "E16", cells, sweep);
 }
 
 // Reduced deterministic sweep for CI: runs serially and in parallel, fails
@@ -209,62 +180,13 @@ int smoke() {
   const auto figures = topo::all_figures();
   auto cells = make_grid(figures, /*seeds=*/3, /*budget=*/100000);
 
-  const std::size_t jobs = bench::config().jobs == 0 ? 4 : bench::config().jobs;
-  // Trace -> serial pass (stable JSONL interleaving); metrics -> parallel
-  // pass (the printed summary is the cross---jobs determinism check).
-  bench::ObsSession obs;
-  obs.open();
-  for (const auto& [name, inst] : figures) {
-    if (inst.name() == "fig1a" || inst.name() == "fig3") obs.attach_spf(inst);
-  }
-  obs.wire(cells, /*with_metrics=*/false, /*with_trace=*/true);
-  const auto serial = fault::run_sweep(cells, bench::sweep_options("serial", 1));
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/false);
-  const auto parallel =
-      fault::run_sweep(cells, bench::sweep_options("parallel", static_cast<int>(jobs)));
-
-  std::printf("bench_churn smoke: %zu cells, fingerprint=%016" PRIx64 "\n",
-              cells.size(), serial.fingerprint);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    std::printf("  cell %3zu %-42s %-9s seed=%" PRIu64 " hash=%016" PRIx64
-                " swaps=%zu\n",
-                i, cells[i].group.c_str(), core::protocol_name(cells[i].protocol),
-                cells[i].seed, serial.cells[i].trace_hash,
-                serial.cells[i].run.igp_epoch_swaps);
-  }
-  obs.print_decision_summary();
-  obs.print_span_summary();
-  const double speedup =
-      parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds : 0;
-  std::fprintf(stderr, "serial %.3fs, parallel %.3fs on %zu jobs (%.2fx)\n",
-               serial.wall_seconds, parallel.wall_seconds, parallel.jobs, speedup);
-
-  bool ok = serial.fingerprint == parallel.fingerprint;
-  for (std::size_t i = 0; ok && i < cells.size(); ++i) {
-    ok = serial.cells[i].trace_hash == parallel.cells[i].trace_hash;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "bench_churn smoke: FAIL — serial vs parallel trace "
-                         "hashes diverge\n");
-  }
-
-  util::json::Object doc;
-  doc.emplace_back("schema", "ibgp-bench-v1");
-  doc.emplace_back("bench", "bench_churn");
-  doc.emplace_back("experiment", "E16");
-  doc.emplace_back("mode", "smoke");
-  util::json::Object vol =
-      bench::smoke_volatile_json(serial.wall_seconds, parallel.wall_seconds,
-                                 parallel.jobs, speedup)
-          .as_object();
-  if (bench::config().profile) vol.emplace_back("spans", obs.span_volatile_json());
-  doc.emplace_back("volatile", util::json::Value(std::move(vol)));
-  doc.emplace_back("fingerprint_match", ok);
-  doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-  doc.emplace_back("sweep", fault::sweep_json(cells, parallel));
-  if (!bench::write_json(util::json::Value(std::move(doc)))) return 1;
-  obs.finish();
-  return ok ? 0 : 1;
+  const auto print_cell = [](std::size_t i, const fault::SweepCell& cell,
+                             const fault::CampaignResult& result) {
+    std::printf("  cell %3zu %-42s %-9s seed=%" PRIu64 " hash=%016" PRIx64 " swaps=%zu\n", i,
+                cell.group.c_str(), core::protocol_name(cell.protocol), cell.seed,
+                result.trace_hash, result.run.igp_epoch_swaps);
+  };
+  return bench::run_smoke(cells, "bench_churn", "E16", "cells", print_cell);
 }
 
 void BM_ChurnCampaign(benchmark::State& state, core::ProtocolKind protocol) {
@@ -287,12 +209,5 @@ BENCHMARK_CAPTURE(BM_ChurnCampaign, modified, ibgp::core::ProtocolKind::kModifie
 }  // namespace
 
 int main(int argc, char** argv) {
-  ibgp::bench::strip_common_flags(argc, argv);
-  if (ibgp::bench::config().smoke) return smoke();
-  report();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  return ibgp::bench::sweep_bench_main(argc, argv, report, smoke);
 }

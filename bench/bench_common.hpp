@@ -8,11 +8,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
 
 #include "analysis/finder.hpp"
@@ -25,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 
@@ -168,9 +172,9 @@ inline bool write_json(const util::json::Value& doc) {
 /// committed BENCH_*.json regenerations diff fingerprint-only: strip every
 /// "volatile" object and two runs that behaved identically dump identical
 /// text.  Deterministic verdicts (fingerprint_match) stay top-level.
-inline util::json::Value smoke_volatile_json(double serial_wall_seconds,
-                                             double parallel_wall_seconds,
-                                             std::size_t jobs, double speedup) {
+inline util::json::Object smoke_volatile_json(double serial_wall_seconds,
+                                              double parallel_wall_seconds,
+                                              std::size_t jobs, double speedup) {
   util::json::Object fields;
   fields.emplace_back("serial_wall_seconds", serial_wall_seconds);
   fields.emplace_back("parallel_wall_seconds", parallel_wall_seconds);
@@ -179,24 +183,23 @@ inline util::json::Value smoke_volatile_json(double serial_wall_seconds,
   // matter how correct the fan-out is.
   fields.emplace_back("hardware_threads", util::resolve_jobs(0));
   fields.emplace_back("speedup", speedup);
-  return util::json::Value(std::move(fields));
+  return fields;
+}
+
+/// The head every sweep bench's ibgp-bench-v1 document starts with.
+inline util::json::Object bench_document(const char* bench, const char* experiment,
+                                         const char* mode) {
+  util::json::Object doc;
+  doc.emplace_back("schema", "ibgp-bench-v1");
+  doc.emplace_back("bench", bench);
+  doc.emplace_back("experiment", experiment);
+  doc.emplace_back("mode", mode);
+  return doc;
 }
 
 /// Observability session for the sweep benches: one MetricsRegistry plus
-/// one TraceSink shared by a report's cells.
-///
-/// Usage (see bench_faults.cpp):
-///   ObsSession obs;  obs.open();           // fixes metric order up front
-///   obs.attach_spf(inst);                  // volatile spf.* counters
-///   obs.wire(cells, /*metrics=*/false, /*trace=*/true);   // serial pass
-///   obs.wire(cells, /*metrics=*/true,  /*trace=*/false);  // parallel pass
-///   obs.print_decision_summary();          // fingerprint + per-rule rows
-///   obs.finish(instances);                 // write --metrics file, close
-///
-/// In --smoke, the trace rides the *serial* pass (one interleaving, stable
-/// JSONL) while the registry rides the *parallel* pass — so the printed
-/// deterministic fingerprint doubles as the cross---jobs byte-identity
-/// check the CI smoke diff enforces.
+/// one TraceSink shared by a report's cells.  run_full_sweep / finish_full_sweep
+/// and run_smoke below drive it.
 struct ObsSession {
   obs::MetricsRegistry registry;
   obs::TraceSink trace;
@@ -210,19 +213,17 @@ struct ObsSession {
     if (!config().trace_path.empty()) trace.open_file(config().trace_path);
   }
 
-  /// Mirrors the instance's shared SPF cache counters into the registry
-  /// (volatile); finish() detaches.  The instance must outlive finish().
-  void attach_spf(const core::Instance& inst) {
-    inst.spf_cache().attach_metrics(&registry);
-    attached.push_back(&inst);
-  }
-
-  /// The deterministic-metrics fingerprint as the usual 16-hex-digit text.
-  [[nodiscard]] std::string fingerprint_hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(registry.fingerprint()));
-    return std::string(buf);
+  /// Mirrors the shared SPF cache counters of each distinct instance the
+  /// cells use, in first-use order, into the registry (volatile); finish()
+  /// detaches.  The instances must outlive finish().
+  void attach_spf(std::span<const fault::SweepCell> cells) {
+    for (const auto& cell : cells) {
+      if (std::find(attached.begin(), attached.end(), cell.instance) != attached.end()) {
+        continue;
+      }
+      cell.instance->spf_cache().attach_metrics(&registry);
+      attached.push_back(cell.instance);
+    }
   }
 
   /// Points every cell's campaign options at this session's registry and/or
@@ -241,8 +242,7 @@ struct ObsSession {
   /// breakdown to stdout.  Every value here is deterministic (counter adds
   /// commute), so the CI smoke diff across --jobs 1/8 covers these lines.
   void print_decision_summary() const {
-    std::printf("  metrics fingerprint=%016llx\n",
-                static_cast<unsigned long long>(registry.fingerprint()));
+    std::printf("  metrics fingerprint=%s\n", util::hex64(registry.fingerprint()).c_str());
     std::printf("  decisions=%llu empty=%llu mrai_deferrals=%llu\n",
                 static_cast<unsigned long long>(registry.counter_value("engine.decisions")),
                 static_cast<unsigned long long>(registry.counter_value("engine.decisions_empty")),
@@ -306,6 +306,114 @@ struct ObsSession {
     trace.close();
   }
 };
+
+/// A sweep bench's full report: one supervised sweep (journal pass "main")
+/// carrying both the registry and the trace; its wall time goes to stderr.
+inline fault::SweepResult run_full_sweep(ObsSession& obs,
+                                         std::vector<fault::SweepCell>& cells) {
+  obs.open();
+  obs.attach_spf(cells);
+  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/true);
+  auto options = sweep_options("main");
+  options.metrics = &obs.registry;
+  auto sweep = fault::run_sweep(cells, options);
+  std::fprintf(stderr, "sweep: %zu cells in %.2fs on %zu jobs\n", cells.size(),
+               sweep.wall_seconds, sweep.jobs);
+  return sweep;
+}
+
+/// The full report's tail: the whole-sweep decision summary (and the
+/// --profile spans on stderr), the "full" --json document, then finish().
+inline void finish_full_sweep(ObsSession& obs, const char* bench, const char* experiment,
+                              std::span<const fault::SweepCell> cells,
+                              const fault::SweepResult& sweep) {
+  std::printf("\ndecision provenance (whole sweep):\n");
+  obs.print_decision_summary();
+  obs.print_span_summary();
+  if (!config().json_path.empty()) {
+    util::json::Object doc = bench_document(bench, experiment, "full");
+    doc.emplace_back("metrics_fingerprint", util::hex64(obs.registry.fingerprint()));
+    if (config().profile) {
+      util::json::Object vol;
+      vol.emplace_back("spans", obs.span_volatile_json());
+      doc.emplace_back("volatile", util::json::Value(std::move(vol)));
+    }
+    doc.emplace_back("sweep", fault::sweep_json(cells, sweep));
+    write_json(util::json::Value(std::move(doc)));
+  }
+  obs.finish();
+}
+
+/// Prints one cell's deterministic --smoke line from its serial result.
+using SmokeCellPrinter = std::function<void(std::size_t index, const fault::SweepCell& cell,
+                                            const fault::CampaignResult& result)>;
+
+/// A sweep bench's --smoke: the cells run serially and then in parallel
+/// (--jobs, default 4) in one process.  The trace rides the serial pass
+/// (one interleaving, stable JSONL); the registry rides the parallel pass,
+/// so the decision summary on stdout doubles as the cross---jobs
+/// determinism check (CI diffs this stdout across --jobs 1 and --jobs 8).
+/// stdout carries "<bench> smoke: N <noun>, fingerprint=...", one line per
+/// cell from `print_cell`, and the decision summary; timings go to stderr.
+/// Writes the "smoke" --json document and returns nonzero when any
+/// per-cell trace hash diverges between the passes.
+inline int run_smoke(std::vector<fault::SweepCell>& cells, const char* bench,
+                     const char* experiment, const char* noun,
+                     const SmokeCellPrinter& print_cell) {
+  const std::size_t jobs = config().jobs == 0 ? 4 : config().jobs;
+  ObsSession obs;
+  obs.open();
+  obs.attach_spf(cells);
+  obs.wire(cells, /*with_metrics=*/false, /*with_trace=*/true);
+  const auto serial = fault::run_sweep(cells, sweep_options("serial", 1));
+  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/false);
+  const auto parallel =
+      fault::run_sweep(cells, sweep_options("parallel", static_cast<int>(jobs)));
+
+  std::printf("%s smoke: %zu %s, fingerprint=%s\n", bench, cells.size(), noun,
+              util::hex64(serial.fingerprint).c_str());
+  for (std::size_t i = 0; i < cells.size(); ++i) print_cell(i, cells[i], serial.cells[i]);
+  obs.print_decision_summary();
+  obs.print_span_summary();
+  const double speedup =
+      parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds : 0;
+  std::fprintf(stderr, "serial %.3fs, parallel %.3fs on %zu jobs (%.2fx)\n",
+               serial.wall_seconds, parallel.wall_seconds, parallel.jobs, speedup);
+
+  bool ok = serial.fingerprint == parallel.fingerprint;
+  for (std::size_t i = 0; ok && i < cells.size(); ++i) {
+    ok = serial.cells[i].trace_hash == parallel.cells[i].trace_hash;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s smoke: FAIL — serial vs parallel trace hashes diverge\n", bench);
+  }
+
+  util::json::Object doc = bench_document(bench, experiment, "smoke");
+  util::json::Object vol = smoke_volatile_json(serial.wall_seconds, parallel.wall_seconds,
+                                               parallel.jobs, speedup);
+  if (config().profile) vol.emplace_back("spans", obs.span_volatile_json());
+  doc.emplace_back("volatile", util::json::Value(std::move(vol)));
+  doc.emplace_back("fingerprint_match", ok);
+  doc.emplace_back("metrics_fingerprint", util::hex64(obs.registry.fingerprint()));
+  doc.emplace_back("sweep", fault::sweep_json(cells, parallel));
+  if (!write_json(util::json::Value(std::move(doc)))) return 1;
+  obs.finish();
+  return ok ? 0 : 1;
+}
+
+/// main() of a sweep bench: --smoke runs `smoke` and exits before
+/// google-benchmark; otherwise `report` prints the full sweep, then the
+/// remaining argv goes to google-benchmark.
+inline int sweep_bench_main(int argc, char** argv, void (*report)(), int (*smoke)()) {
+  strip_common_flags(argc, argv);
+  if (config().smoke) return smoke();
+  report();
+  ::benchmark::Initialize(&argc, argv);
+  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  ::benchmark::RunSpecifiedBenchmarks();
+  ::benchmark::Shutdown();
+  return 0;
+}
 
 /// Fallback --json document for benches without a richer schema: name and
 /// report wall-clock only, so every binary still emits a trajectory point.

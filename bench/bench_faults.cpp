@@ -114,17 +114,7 @@ void report() {
   }
 
   bench::ObsSession obs;
-  obs.open();
-  for (const auto& [name, inst] : figures) {
-    if (inst.name() == "fig1a" || inst.name() == "fig3") obs.attach_spf(inst);
-  }
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/true);
-
-  auto sweep_options = bench::sweep_options("main");
-  sweep_options.metrics = &obs.registry;
-  const auto sweep = fault::run_sweep(cells, sweep_options);
-  std::fprintf(stderr, "sweep: %zu cells in %.2fs on %zu jobs\n", cells.size(),
-               sweep.wall_seconds, sweep.jobs);
+  const auto sweep = bench::run_full_sweep(obs, cells);
 
   std::size_t next = 0;
   for (const auto& [name, inst] : figures) {
@@ -155,20 +145,7 @@ void report() {
               " over reconverged runs; clean = invariant checker found no stale routes,\n"
               " RIB desync, or forwarding loops after quiescence)\n");
 
-  std::printf("\ndecision provenance (whole sweep):\n");
-  obs.print_decision_summary();
-
-  if (!bench::config().json_path.empty()) {
-    util::json::Object doc;
-    doc.emplace_back("schema", "ibgp-bench-v1");
-    doc.emplace_back("bench", "bench_faults");
-    doc.emplace_back("experiment", "E13");
-    doc.emplace_back("mode", "full");
-    doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-    doc.emplace_back("sweep", fault::sweep_json(cells, sweep));
-    bench::write_json(util::json::Value(std::move(doc)));
-  }
-  obs.finish();
+  bench::finish_full_sweep(obs, "bench_faults", "E13", cells, sweep);
 }
 
 // Reduced deterministic sweep for CI: runs serially and in parallel, fails
@@ -207,56 +184,13 @@ int smoke() {
     }
   }
 
-  const std::size_t jobs = bench::config().jobs == 0 ? 4 : bench::config().jobs;
-  // Trace rides the serial pass (one interleaving -> stable JSONL); the
-  // registry rides the parallel pass, so the decision summary printed below
-  // doubles as the cross---jobs counter-determinism check (the CI smoke
-  // diff compares this stdout across --jobs 1 and --jobs 8).
-  bench::ObsSession obs;
-  obs.open();
-  obs.attach_spf(inst);
-  obs.wire(cells, /*with_metrics=*/false, /*with_trace=*/true);
-  const auto serial = fault::run_sweep(cells, bench::sweep_options("serial", 1));
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/false);
-  const auto parallel =
-      fault::run_sweep(cells, bench::sweep_options("parallel", static_cast<int>(jobs)));
-
-  std::printf("bench_faults smoke: %zu cells, fingerprint=%016" PRIx64 "\n",
-              cells.size(), serial.fingerprint);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  const auto print_cell = [](std::size_t i, const fault::SweepCell& cell,
+                             const fault::CampaignResult& result) {
     std::printf("  cell %2zu %s %-9s seed=%" PRIu64 " hash=%016" PRIx64 "\n", i,
-                cells[i].group.c_str(), core::protocol_name(cells[i].protocol),
-                cells[i].seed, serial.cells[i].trace_hash);
-  }
-  obs.print_decision_summary();
-  const double speedup =
-      parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds : 0;
-  std::fprintf(stderr, "serial %.3fs, parallel %.3fs on %zu jobs (%.2fx)\n",
-               serial.wall_seconds, parallel.wall_seconds, parallel.jobs, speedup);
-
-  bool ok = serial.fingerprint == parallel.fingerprint;
-  for (std::size_t i = 0; ok && i < cells.size(); ++i) {
-    ok = serial.cells[i].trace_hash == parallel.cells[i].trace_hash;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "bench_faults smoke: FAIL — serial vs parallel trace "
-                         "hashes diverge\n");
-  }
-
-  util::json::Object doc;
-  doc.emplace_back("schema", "ibgp-bench-v1");
-  doc.emplace_back("bench", "bench_faults");
-  doc.emplace_back("experiment", "E13");
-  doc.emplace_back("mode", "smoke");
-  doc.emplace_back("volatile", bench::smoke_volatile_json(
-                                   serial.wall_seconds, parallel.wall_seconds,
-                                   parallel.jobs, speedup));
-  doc.emplace_back("fingerprint_match", ok);
-  doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-  doc.emplace_back("sweep", fault::sweep_json(cells, parallel));
-  if (!bench::write_json(util::json::Value(std::move(doc)))) return 1;
-  obs.finish();
-  return ok ? 0 : 1;
+                cell.group.c_str(), core::protocol_name(cell.protocol), cell.seed,
+                result.trace_hash);
+  };
+  return bench::run_smoke(cells, "bench_faults", "E13", "cells", print_cell);
 }
 
 void BM_FaultCampaign(benchmark::State& state, core::ProtocolKind protocol) {
@@ -280,12 +214,5 @@ BENCHMARK_CAPTURE(BM_FaultCampaign, modified, ibgp::core::ProtocolKind::kModifie
 }  // namespace
 
 int main(int argc, char** argv) {
-  ibgp::bench::strip_common_flags(argc, argv);
-  if (ibgp::bench::config().smoke) return smoke();
-  report();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  return ibgp::bench::sweep_bench_main(argc, argv, report, smoke);
 }

@@ -135,17 +135,7 @@ void report() {
   }
 
   bench::ObsSession obs;
-  obs.open();
-  for (const auto& [name, inst] : figures) {
-    if (inst.name() == "fig1a" || inst.name() == "fig3") obs.attach_spf(inst);
-  }
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/true);
-
-  auto sweep_options = bench::sweep_options("main");
-  sweep_options.metrics = &obs.registry;
-  const auto sweep = fault::run_sweep(cells, sweep_options);
-  std::fprintf(stderr, "sweep: %zu cells in %.2fs on %zu jobs\n", cells.size(),
-               sweep.wall_seconds, sweep.jobs);
+  const auto sweep = bench::run_full_sweep(obs, cells);
 
   // protocol -> (cold, graceful) blackhole totals across figures and levels.
   std::map<core::ProtocolKind, std::pair<std::uint64_t, std::uint64_t>> verdict;
@@ -191,20 +181,7 @@ void report() {
               " contiguous per-source blackhole window; stale = source-ticks carried\n"
               " by retained-stale forwarding state — the price of continuity)\n");
 
-  std::printf("\ndecision provenance (whole sweep):\n");
-  obs.print_decision_summary();
-
-  if (!bench::config().json_path.empty()) {
-    util::json::Object doc;
-    doc.emplace_back("schema", "ibgp-bench-v1");
-    doc.emplace_back("bench", "bench_gr");
-    doc.emplace_back("experiment", "E14");
-    doc.emplace_back("mode", "full");
-    doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-    doc.emplace_back("sweep", fault::sweep_json(cells, sweep));
-    bench::write_json(util::json::Value(std::move(doc)));
-  }
-  obs.finish();
+  bench::finish_full_sweep(obs, "bench_gr", "E14", cells, sweep);
 }
 
 // Reduced paired sweep, run twice (serial, then --jobs N parallel; default
@@ -222,58 +199,15 @@ int smoke() {
     }
   }
 
-  const std::size_t jobs = bench::config().jobs == 0 ? 4 : bench::config().jobs;
-  // Trace -> serial pass (stable JSONL interleaving); metrics -> parallel
-  // pass (the printed summary is the cross---jobs determinism check).
-  bench::ObsSession obs;
-  obs.open();
-  obs.attach_spf(inst);
-  obs.wire(cells, /*with_metrics=*/false, /*with_trace=*/true);
-  const auto serial = fault::run_sweep(cells, bench::sweep_options("serial", 1));
-  obs.wire(cells, /*with_metrics=*/true, /*with_trace=*/false);
-  const auto parallel =
-      fault::run_sweep(cells, bench::sweep_options("parallel", static_cast<int>(jobs)));
-
-  std::printf("bench_gr smoke: %zu paired cells, fingerprint=%016" PRIx64 "\n",
-              cells.size(), serial.fingerprint);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  const auto print_cell = [](std::size_t i, const fault::SweepCell& cell,
+                             const fault::CampaignResult& result) {
     std::printf("  cell %2zu %-9s %-42s seed=%" PRIu64 " hash=%016" PRIx64
                 " reconverged=%d blackhole=%" PRIu64 " stale=%" PRIu64 "\n",
-                i, core::protocol_name(cells[i].protocol), cells[i].group.c_str(),
-                cells[i].seed, serial.cells[i].trace_hash,
-                serial.cells[i].reconverged() ? 1 : 0,
-                serial.cells[i].continuity.blackhole_ticks,
-                serial.cells[i].continuity.stale_ticks);
-  }
-  obs.print_decision_summary();
-  const double speedup =
-      parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds : 0;
-  std::fprintf(stderr, "serial %.3fs, parallel %.3fs on %zu jobs (%.2fx)\n",
-               serial.wall_seconds, parallel.wall_seconds, parallel.jobs, speedup);
-
-  bool ok = serial.fingerprint == parallel.fingerprint;
-  for (std::size_t i = 0; ok && i < cells.size(); ++i) {
-    ok = serial.cells[i].trace_hash == parallel.cells[i].trace_hash;
-  }
-  if (!ok) {
-    std::fprintf(stderr,
-                 "bench_gr smoke: FAIL — serial vs parallel trace hashes diverge\n");
-  }
-
-  util::json::Object doc;
-  doc.emplace_back("schema", "ibgp-bench-v1");
-  doc.emplace_back("bench", "bench_gr");
-  doc.emplace_back("experiment", "E14");
-  doc.emplace_back("mode", "smoke");
-  doc.emplace_back("volatile", bench::smoke_volatile_json(
-                                   serial.wall_seconds, parallel.wall_seconds,
-                                   parallel.jobs, speedup));
-  doc.emplace_back("fingerprint_match", ok);
-  doc.emplace_back("metrics_fingerprint", obs.fingerprint_hex());
-  doc.emplace_back("sweep", fault::sweep_json(cells, parallel));
-  if (!bench::write_json(util::json::Value(std::move(doc)))) return 1;
-  obs.finish();
-  return ok ? 0 : 1;
+                i, core::protocol_name(cell.protocol), cell.group.c_str(), cell.seed,
+                result.trace_hash, result.reconverged() ? 1 : 0,
+                result.continuity.blackhole_ticks, result.continuity.stale_ticks);
+  };
+  return bench::run_smoke(cells, "bench_gr", "E14", "paired cells", print_cell);
 }
 
 void BM_GrCampaign(benchmark::State& state, bool graceful) {
@@ -295,15 +229,6 @@ BENCHMARK_CAPTURE(BM_GrCampaign, graceful, true)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Custom main instead of IBGP_BENCH_MAIN: `--smoke` switches to the
-// reduced sweep and must short-circuit before google-benchmark runs.
 int main(int argc, char** argv) {
-  ibgp::bench::strip_common_flags(argc, argv);
-  if (ibgp::bench::config().smoke) return smoke();
-  report();
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  return ibgp::bench::sweep_bench_main(argc, argv, report, smoke);
 }

@@ -22,6 +22,7 @@
 #include "explore/minimize.hpp"
 #include "topo/dsl.hpp"
 #include "util/flags.hpp"
+#include "util/hash.hpp"
 
 int main(int argc, char** argv) {
   using namespace ibgp;
@@ -121,10 +122,7 @@ int main(int argc, char** argv) {
   const std::size_t limit = static_cast<std::size_t>(flags.get_int("limit"));
   std::size_t written = 0;
   for (const auto& hit : result.hits) {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(hit.fingerprint));
-    const std::string name = std::string("ce-") + hex;
+    const std::string name = "ce-" + util::hex64(hit.fingerprint);
 
     auto spec = hit.spec;
     spec.name = name;

@@ -42,8 +42,6 @@
 
 namespace {
 
-using ibgp::obs::TraceRecord;
-
 std::string label(const std::map<std::int64_t, std::string>& names, std::int64_t id) {
   const auto it = names.find(id);
   if (it != names.end()) return it->second;
@@ -115,12 +113,12 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     ++lines;
-    if (blame) graph.add_line(line);
     const auto record = ibgp::obs::parse_trace_line(line);
     if (!record) {
       ++bad;
       continue;
     }
+    if (blame) graph.add(*record);
     if (const auto* schema = record->find("schema"); schema != nullptr) {
       saw_header = true;
       continue;  // header line carries no event
@@ -134,8 +132,7 @@ int main(int argc, char** argv) {
     } else if (ev == "decision") {
       ++rule_census[std::string(record->str("rule"))];
       const auto* flip = record->find("flip");
-      if (flip != nullptr && flip->kind == TraceRecord::Field::Kind::kBool &&
-          flip->bool_value) {
+      if (flip != nullptr && flip->is_bool() && flip->as_bool()) {
         flip_sequences[record->num("node")].push_back(record->num("best", -1));
       }
     } else if (ev == "update" || ev == "update-voided") {

@@ -36,6 +36,11 @@ constexpr const char* kQueryLatencyMetric[] = {
     "daemon.latency.metrics_ns",
 };
 
+// Delivery budget per ingest step and for the final drain run.
+constexpr std::size_t kStepBudget = 5'000'000;
+// Delivery budget for sandboxed what-if evaluation.
+constexpr std::size_t kWhatifBudget = 2'000'000;
+
 }  // namespace
 
 void register_daemon_metrics(obs::MetricsRegistry& registry) {
@@ -128,11 +133,9 @@ Daemon::~Daemon() {
 std::string Daemon::ckpt_path() const { return options_.state_dir + "/checkpoint.json"; }
 std::string Daemon::wal_path() const { return options_.state_dir + "/wal.jsonl"; }
 
-json::Object Daemon::identity_json() const {
-  json::Object id;
-  id.emplace_back("instance", instance_->name());
-  id.emplace_back("protocol", core::protocol_name(protocol_));
-  return id;
+void Daemon::append_identity(json::Object& doc) const {
+  doc.emplace_back("instance", instance_->name());
+  doc.emplace_back("protocol", core::protocol_name(protocol_));
 }
 
 void Daemon::check_identity(const json::Value& doc, const char* what) const {
@@ -158,7 +161,7 @@ void Daemon::step_engine(SimTime horizon) {
   // Each step reports only its own deliveries — except the first step after
   // restore(), which also carries the checkpointed cumulative total, so the
   // daemon-side sum always equals the uninterrupted run's total.
-  auto result = engine_->run_until(horizon, options_.step_budget);
+  auto result = engine_->run_until(horizon, kStepBudget);
   deliveries_total_ += result.deliveries;
   last_result_ = std::move(result);
 }
@@ -190,8 +193,7 @@ bool Daemon::wal_reset() {
   json::Object header;
   header.emplace_back("ev", "wal");
   header.emplace_back("schema", kWalSchema);
-  header.emplace_back("instance", instance_->name());
-  header.emplace_back("protocol", core::protocol_name(protocol_));
+  append_identity(header);
   const std::string line = json::Value(std::move(header)).dump_compact() + "\n";
   if (!fileio::write_file_atomic(path, line)) return false;
   wal_fd_ = fileio::open_retry(path, O_WRONLY | O_APPEND);
@@ -217,8 +219,7 @@ bool Daemon::write_checkpoint() {
   const obs::Span span(ckpt_write_ns_);
   json::Object doc;
   doc.emplace_back("schema", kDaemonCkptSchema);
-  doc.emplace_back("instance", instance_->name());
-  doc.emplace_back("protocol", core::protocol_name(protocol_));
+  append_identity(doc);
   doc.emplace_back("applied_seq", applied_seq_);
   doc.emplace_back("clock", clock_);
   doc.emplace_back("wire_hash", wire_hash_);
@@ -409,8 +410,7 @@ std::string Daemon::handle_hello(const WireRecord& rec) {
   json::Object out;
   out.emplace_back("ev", "hello-ok");
   out.emplace_back("schema", kWireSchema);
-  out.emplace_back("instance", instance_->name());
-  out.emplace_back("protocol", core::protocol_name(protocol_));
+  append_identity(out);
   out.emplace_back("resumed", resumed_);
   out.emplace_back("applied_seq", applied_seq_);
   return render_reply(std::move(out));
@@ -664,9 +664,9 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("withdraws", withdraws_);
       out.emplace_back("faults", faults_);
       out.emplace_back("deliveries", deliveries_total_);
-      out.emplace_back("wire_hash", hex64(wire_hash_));
-      out.emplace_back("trace_hash", hex64(fault::trace_hash(*engine_, synth)));
-      out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
+      out.emplace_back("wire_hash", "0x" + util::hex64(wire_hash_));
+      out.emplace_back("trace_hash", "0x" + util::hex64(fault::trace_hash(*engine_, synth)));
+      out.emplace_back("metrics_fingerprint", "0x" + util::hex64(metrics_.fingerprint()));
       return render_reply(std::move(out));
     }
     case QueryKind::kHealth: {
@@ -692,7 +692,7 @@ std::string Daemon::handle_query(const WireRecord& rec) {
       out.emplace_back("applied_seq", applied_seq_);
       out.emplace_back("deterministic", metrics_.deterministic_json());
       out.emplace_back("volatile", metrics_.volatile_json());
-      out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
+      out.emplace_back("metrics_fingerprint", "0x" + util::hex64(metrics_.fingerprint()));
       return render_reply(std::move(out));
     }
     case QueryKind::kWhatIf:
@@ -718,7 +718,7 @@ std::string Daemon::handle_whatif(const WireRecord& rec) {
   }
   engine::EventEngine::Result result;
   try {
-    result = sandbox.run(options_.whatif_budget);
+    result = sandbox.run(kWhatifBudget);
   } catch (const std::exception& e) {
     return error_out(ErrorCode::kBudget, e.what(), nullptr);
   }
@@ -745,7 +745,7 @@ std::string Daemon::handle_whatif(const WireRecord& rec) {
 
 std::string Daemon::drain() {
   if (!drained_) {
-    auto result = engine_->run(options_.step_budget);
+    auto result = engine_->run(kStepBudget);
     deliveries_total_ += result.deliveries;
     clock_ = std::max(clock_, result.end_time);
     last_result_ = std::move(result);
@@ -763,9 +763,9 @@ std::string Daemon::drain() {
   out.emplace_back("applied_seq", applied_seq_);
   out.emplace_back("converged", last_result_.converged);
   out.emplace_back("deliveries", deliveries_total_);
-  out.emplace_back("wire_hash", hex64(wire_hash_));
-  out.emplace_back("trace_hash", hex64(fault::trace_hash(*engine_, synth)));
-  out.emplace_back("metrics_fingerprint", hex64(metrics_.fingerprint()));
+  out.emplace_back("wire_hash", "0x" + util::hex64(wire_hash_));
+  out.emplace_back("trace_hash", "0x" + util::hex64(fault::trace_hash(*engine_, synth)));
+  out.emplace_back("metrics_fingerprint", "0x" + util::hex64(metrics_.fingerprint()));
   // The next resume replays the journal instead of starting from this state.
   if (drain_checkpoint_failed_) out.emplace_back("checkpoint_failed", true);
   return render_reply(std::move(out));

@@ -57,10 +57,6 @@ struct DaemonOptions {
   std::uint64_t ckpt_every = 64;
   /// SpfCache LRU capacity for churn-heavy streams (0 = unbounded).
   std::size_t spf_cache_epochs = 0;
-  /// Delivery budget per ingest step and for the final drain run.
-  std::size_t step_budget = 5'000'000;
-  /// Delivery budget for sandboxed what-if evaluation.
-  std::size_t whatif_budget = 2'000'000;
 };
 
 class Daemon {
@@ -129,7 +125,9 @@ class Daemon {
   bool wal_reset();
   bool write_checkpoint();
   void recover();
-  [[nodiscard]] util::json::Object identity_json() const;
+  /// Appends the "instance" and "protocol" members every persisted
+  /// document and the hello-ok reply carry.
+  void append_identity(util::json::Object& doc) const;
   void check_identity(const util::json::Value& doc, const char* what) const;
 
   std::shared_ptr<core::Instance> instance_;

@@ -1,7 +1,6 @@
 #include "daemon/wire.hpp"
 
 #include <array>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -46,13 +45,6 @@ bool fault_takes_peer(engine::FaultKind kind) {
     default:
       return false;
   }
-}
-
-std::string hex64(std::uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
 }
 
 std::string render_reply(json::Object fields) {

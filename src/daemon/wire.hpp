@@ -124,9 +124,6 @@ std::string error_reply(ErrorCode code, std::string_view message);
 std::string ack_reply(std::uint64_t seq, SimTime t);
 std::string render_reply(util::json::Object fields);
 
-/// "0x" + 16 lowercase hex digits; the wire spelling of every fingerprint.
-std::string hex64(std::uint64_t value);
-
 /// Wire name <-> engine fault kind.  stale-expire is engine-internal and
 /// deliberately not injectable.
 const char* wire_fault_name(engine::FaultKind kind);

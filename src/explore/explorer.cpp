@@ -170,49 +170,51 @@ InstanceSpec parse_spec(const Value& doc) {
     const auto& tuple = kReader.tuple(entry, 4);
     NodeSpec n;
     n.label = tuple[0].as_string();
-    n.cluster = static_cast<netsim::ClusterId>(tuple[1].as_uint());
+    n.cluster = kReader.integer<netsim::ClusterId>(tuple[1], "node cluster");
     n.reflector = tuple[2].as_bool();
-    n.bgp_id = static_cast<BgpId>(tuple[3].as_uint());
+    n.bgp_id = kReader.integer<BgpId>(tuple[3], "node bgp_id");
     spec.nodes.push_back(std::move(n));
   }
   for (const auto& entry : kReader.field(doc, "links").as_array()) {
     const auto& tuple = kReader.tuple(entry, 3);
-    spec.links.push_back({static_cast<NodeId>(tuple[0].as_uint()),
-                          static_cast<NodeId>(tuple[1].as_uint()),
-                          static_cast<Cost>(tuple[2].as_int())});
+    spec.links.push_back({kReader.integer<NodeId>(tuple[0], "link endpoint"),
+                          kReader.integer<NodeId>(tuple[1], "link endpoint"),
+                          kReader.integer<Cost>(tuple[2], "link cost")});
   }
   for (const auto& entry : kReader.field(doc, "client_sessions").as_array()) {
     const auto& tuple = kReader.tuple(entry, 2);
-    spec.client_sessions.push_back({static_cast<NodeId>(tuple[0].as_uint()),
-                                    static_cast<NodeId>(tuple[1].as_uint())});
+    spec.client_sessions.push_back({kReader.integer<NodeId>(tuple[0], "session endpoint"),
+                                    kReader.integer<NodeId>(tuple[1], "session endpoint")});
   }
   for (const auto& entry : kReader.field(doc, "exits").as_array()) {
     const auto& tuple = kReader.tuple(entry, 9);
     ExitSpec e;
     e.name = tuple[0].as_string();
-    e.at = static_cast<NodeId>(tuple[1].as_uint());
-    e.next_as = static_cast<AsId>(tuple[2].as_uint());
-    e.med = static_cast<Med>(tuple[3].as_uint());
-    e.local_pref = static_cast<LocalPref>(tuple[4].as_uint());
-    e.as_path_length = static_cast<std::uint32_t>(tuple[5].as_uint());
-    e.exit_cost = static_cast<Cost>(tuple[6].as_int());
-    e.ebgp_peer = static_cast<BgpId>(tuple[7].as_uint());
-    e.communities = static_cast<std::uint32_t>(tuple[8].as_uint());
+    e.at = kReader.integer<NodeId>(tuple[1], "exit at");
+    e.next_as = kReader.integer<AsId>(tuple[2], "exit next_as");
+    e.med = kReader.integer<Med>(tuple[3], "exit med");
+    e.local_pref = kReader.integer<LocalPref>(tuple[4], "exit local_pref");
+    e.as_path_length = kReader.integer<std::uint32_t>(tuple[5], "exit as_path_length");
+    e.exit_cost = kReader.integer<Cost>(tuple[6], "exit cost");
+    e.ebgp_peer = kReader.integer<BgpId>(tuple[7], "exit ebgp_peer");
+    e.communities = kReader.integer<std::uint32_t>(tuple[8], "exit communities");
     spec.exits.push_back(std::move(e));
   }
   for (const auto& entry : kReader.field(doc, "route_maps").as_array()) {
     RouteMapSpec m;
-    m.node = static_cast<NodeId>(kReader.field(entry, "node").as_uint());
+    m.node = kReader.integer<NodeId>(kReader.field(entry, "node"), "route map node");
     const Value& match_as = kReader.field(entry, "match_as");
-    if (!match_as.is_null()) m.clause.match_as = static_cast<AsId>(match_as.as_uint());
-    m.clause.match_communities =
-        static_cast<std::uint32_t>(kReader.field(entry, "match_communities").as_uint());
+    if (!match_as.is_null()) m.clause.match_as = kReader.integer<AsId>(match_as, "match_as");
+    m.clause.match_communities = kReader.integer<std::uint32_t>(
+        kReader.field(entry, "match_communities"), "match_communities");
     const Value& set_lp = kReader.field(entry, "set_local_pref");
-    if (!set_lp.is_null()) m.clause.set_local_pref = static_cast<LocalPref>(set_lp.as_uint());
+    if (!set_lp.is_null()) {
+      m.clause.set_local_pref = kReader.integer<LocalPref>(set_lp, "set_local_pref");
+    }
     const Value& set_med = kReader.field(entry, "set_med");
-    if (!set_med.is_null()) m.clause.set_med = static_cast<Med>(set_med.as_uint());
-    m.clause.add_communities =
-        static_cast<std::uint32_t>(kReader.field(entry, "add_communities").as_uint());
+    if (!set_med.is_null()) m.clause.set_med = kReader.integer<Med>(set_med, "set_med");
+    m.clause.add_communities = kReader.integer<std::uint32_t>(
+        kReader.field(entry, "add_communities"), "add_communities");
     spec.route_maps.push_back(std::move(m));
   }
   const Value& policy = kReader.field(doc, "policy");
@@ -234,7 +236,7 @@ InstanceSpec parse_spec(const Value& doc) {
         kReader.fail("override med mode out of range");
       }
       spec.policy.med_overrides.push_back(
-          {static_cast<AsId>(tuple[0].as_uint()), static_cast<bgp::MedMode>(mode)});
+          {kReader.integer<AsId>(tuple[0], "override as"), static_cast<bgp::MedMode>(mode)});
     }
   }
   return spec;
@@ -308,11 +310,7 @@ bool load_explore_checkpoint(const ExploreConfig& config, ExploreResult& result,
   const auto doc = util::json::read_file(config.checkpoint_path);
   if (!doc) return false;
   try {
-    const Value* schema = doc->find("schema");
-    if (schema == nullptr || !schema->is_string() ||
-        schema->as_string() != kExploreCkptSchema) {
-      return false;
-    }
+    kReader.check_schema(*doc);
     // Identity guard on the determinism-critical parameters (budget is
     // deliberately NOT guarded: resuming with a larger budget extends the
     // very same search).

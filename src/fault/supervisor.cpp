@@ -15,11 +15,9 @@ using util::json::Array;
 using util::json::Object;
 using util::json::Value;
 
-// Same volatile per-cell wall-clock buckets the plain sweep has always used
-// (microseconds; see sweep.cpp for rationale).
-const std::vector<std::int64_t> kCellWallBoundsUs = {100,    300,    1'000,   3'000,
-                                                     10'000, 30'000, 100'000, 300'000,
-                                                     1'000'000};
+// Extra attempts granted to a cell that exceeded its deadline, each with
+// double the previous budget.  Deterministic throws are never retried.
+constexpr std::uint32_t kMaxRetries = 2;
 
 // --- CampaignResult round-trip ----------------------------------------------
 
@@ -151,8 +149,7 @@ analysis::ContinuityReport parse_continuity(const Value& doc) {
   cont.max_blackhole_window = kReader.get_uint(doc, "max_blackhole_window");
   cont.max_deflection_window = kReader.get_uint(doc, "max_deflection_window");
   for (const auto& entry : kReader.field(doc, "churn_events").as_array()) {
-    const auto& tuple = entry.as_array();
-    if (tuple.size() != 7) kReader.fail("churn_events entry: expected 7 elements");
+    const auto& tuple = kReader.tuple(entry, 7, "churn_events entry");
     analysis::ChurnEventCost e;
     e.time = tuple[0].as_uint();
     const std::uint64_t kind = tuple[1].as_uint();
@@ -160,8 +157,8 @@ analysis::ContinuityReport parse_continuity(const Value& doc) {
       kReader.fail("churn_events entry kind out of range");
     }
     e.kind = static_cast<engine::FaultKind>(kind);
-    e.a = static_cast<NodeId>(tuple[2].as_uint());
-    e.b = static_cast<NodeId>(tuple[3].as_uint());
+    e.a = kReader.integer<NodeId>(tuple[2], "churn_events endpoint");
+    e.b = kReader.integer<NodeId>(tuple[3], "churn_events endpoint");
     e.loop_ticks = tuple[4].as_uint();
     e.blackhole_ticks = tuple[5].as_uint();
     e.deflection_ticks = tuple[6].as_uint();
@@ -303,7 +300,7 @@ SweepResult run_sweep(std::span<const SweepCell> cells, const SweepOptions& opti
         break;
       } catch (const engine::DeadlineExceeded& e) {
         bump("supervisor.cell_timeouts");
-        if (attempts <= options.max_retries) {
+        if (attempts <= kMaxRetries) {
           // Backoff by doubling the budget: transient load clears, a cell
           // that is genuinely too big converges to a timed_out error.
           bump("supervisor.cell_retries");
@@ -331,8 +328,7 @@ SweepResult run_sweep(std::span<const SweepCell> cells, const SweepOptions& opti
 
     if (cell.options.metrics != nullptr) {
       const auto cell_elapsed = std::chrono::steady_clock::now() - cell_start;
-      cell.options.metrics
-          ->histogram("sweep.cell_wall_us", kCellWallBoundsUs, obs::MetricClass::kVolatile)
+      cell_wall_histogram(*cell.options.metrics)
           .observe(static_cast<std::int64_t>(
               std::chrono::duration_cast<std::chrono::microseconds>(cell_elapsed).count()));
     }

@@ -13,7 +13,7 @@
 //    survives.  SweepOptions::strict restores abort-on-first-error.
 //  * per-cell wall-clock deadlines — SweepOptions::cell_deadline arms the
 //    engine's cooperative deadline for each cell; a cell that blows it is
-//    retried with a doubled budget up to max_retries times (backoff for
+//    retried with a doubled budget up to two times (backoff for
 //    "the machine hiccuped"; a cell that is genuinely too big eventually
 //    lands as a timed_out CellError).  Deterministic exceptions are NOT
 //    retried — same input, same throw.
@@ -51,11 +51,9 @@ struct SweepOptions {
   /// Abort on the first failing cell (lowest index wins, the historical
   /// policy) instead of recording a CellError and continuing.
   bool strict = false;
-  /// Per-cell wall-clock budget; zero disables.  See file comment.
+  /// Per-cell wall-clock budget; zero disables.  A cell that exceeds it is
+  /// retried twice, each time with double the previous budget.
   std::chrono::milliseconds cell_deadline{0};
-  /// Extra attempts granted to a cell that exceeded its deadline, each with
-  /// double the previous budget.  Ignored for deterministic throws.
-  std::size_t max_retries = 2;
   /// Directory for the cell-completion journal; empty disables journaling.
   /// Created (recursively) on first use.
   std::string journal_dir;

@@ -1,7 +1,6 @@
 #include "fault/sweep.hpp"
 
 #include <chrono>
-#include <cstdio>
 
 #include "bgp/selection.hpp"
 #include "fault/supervisor.hpp"
@@ -11,12 +10,6 @@
 namespace ibgp::fault {
 
 namespace {
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
 
 // Per-cell wall-clock buckets (microseconds).  Volatile by construction —
 // timing is schedule- and machine-dependent — so the histogram never feeds
@@ -42,8 +35,13 @@ std::uint64_t sweep_fingerprint(std::span<const CampaignResult> cells) {
   return fp.value();
 }
 
+obs::Histogram& cell_wall_histogram(obs::MetricsRegistry& registry) {
+  return registry.histogram("sweep.cell_wall_us", kCellWallBoundsUs,
+                            obs::MetricClass::kVolatile);
+}
+
 void register_sweep_metrics(obs::MetricsRegistry& registry) {
-  registry.histogram("sweep.cell_wall_us", kCellWallBoundsUs, obs::MetricClass::kVolatile);
+  (void)cell_wall_histogram(registry);
   register_campaign_metrics(registry);
 }
 
@@ -64,7 +62,7 @@ util::json::Value sweep_json(std::span<const SweepCell> cells, const SweepResult
       row.emplace_back("protocol", core::protocol_name(cells[i].protocol));
       row.emplace_back("seed", cells[i].seed);
     }
-    row.emplace_back("trace_hash", hex64(campaign.trace_hash));
+    row.emplace_back("trace_hash", util::hex64(campaign.trace_hash));
     row.emplace_back("reconverged", campaign.reconverged());
     row.emplace_back("clean", campaign.invariants.clean());
     // v4: structured per-cell failure record (null on the happy path).  A
@@ -125,7 +123,7 @@ util::json::Value sweep_json(std::span<const SweepCell> cells, const SweepResult
   Object doc;
   doc.emplace_back("schema", "ibgp-sweep-v4");
   doc.emplace_back("cell_count", result.cells.size());
-  doc.emplace_back("fingerprint", hex64(result.fingerprint));
+  doc.emplace_back("fingerprint", util::hex64(result.fingerprint));
   if (include_timing) {
     // Everything run-dependent lives under one "volatile" key so committed
     // BENCH_*.json regenerations diff fingerprint-only: strip this object

@@ -71,6 +71,10 @@ std::uint64_t sweep_fingerprint(std::span<const CampaignResult> cells);
 /// fan-out.  Idempotent.
 void register_sweep_metrics(obs::MetricsRegistry& registry);
 
+/// The volatile per-cell wall-clock histogram "sweep.cell_wall_us"
+/// (microseconds), registered on first use.
+obs::Histogram& cell_wall_histogram(obs::MetricsRegistry& registry);
+
 /// Stable JSON document for a finished sweep ("ibgp-sweep-v4" schema —
 /// v3 added per-cell decision provenance: `decisions`, `decisions_empty`,
 /// `mrai_deferrals` and the per-rule `decided_by` breakdown; v4 added the

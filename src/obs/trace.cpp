@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <utility>
 
 namespace ibgp::obs {
@@ -106,170 +104,29 @@ void TraceSink::dump_ring() {
   }
 }
 
-const TraceRecord::Field* TraceRecord::find(std::string_view key) const {
-  for (const auto& field : fields) {
-    if (field.key == key) return &field;
-  }
-  return nullptr;
-}
-
 std::string_view TraceRecord::str(std::string_view key, std::string_view fallback) const {
-  const Field* field = find(key);
-  return field != nullptr && field->kind == Field::Kind::kString ? field->string_value
-                                                                 : fallback;
+  const util::json::Value* member = find(key);
+  return member != nullptr && member->is_string() ? std::string_view(member->as_string())
+                                                  : fallback;
 }
 
 std::int64_t TraceRecord::num(std::string_view key, std::int64_t fallback) const {
-  const Field* field = find(key);
-  if (field == nullptr) return fallback;
-  if (field->kind == Field::Kind::kInt) return field->int_value;
-  if (field->kind == Field::Kind::kBool) return field->bool_value ? 1 : 0;
-  return fallback;
+  const util::json::Value* member = find(key);
+  if (member == nullptr) return fallback;
+  if (member->is_bool()) return member->as_bool() ? 1 : 0;
+  if (!member->is_integer()) return fallback;
+  // Negative integers read as int64, the rest as uint64 (wrapping).
+  return member->as_double() < 0 ? member->as_int()
+                                 : static_cast<std::int64_t>(member->as_uint());
 }
 
-namespace {
-
-// Tiny scanner for flat ibgp-trace records; see trace.hpp.
-struct Scanner {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_space() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  bool consume(char c) {
-    skip_space();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        const char e = text[pos++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            unsigned code = 0;
-            const auto [ptr, ec] = std::from_chars(text.data() + pos,
-                                                   text.data() + pos + 4, code, 16);
-            if (ec != std::errc{} || ptr != text.data() + pos + 4) return false;
-            pos += 4;
-            // Flat records only escape control characters (util/json::escape),
-            // so a one-byte append is faithful for the streams we produce.
-            out += static_cast<char>(code);
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parse_value(TraceRecord::Field& field) {
-    skip_space();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '"') {
-      field.kind = TraceRecord::Field::Kind::kString;
-      return parse_string(field.string_value);
-    }
-    if (c == '{' || c == '[') return false;  // flat records only
-    if (literal("true")) {
-      field.kind = TraceRecord::Field::Kind::kBool;
-      field.bool_value = true;
-      return true;
-    }
-    if (literal("false")) {
-      field.kind = TraceRecord::Field::Kind::kBool;
-      field.bool_value = false;
-      return true;
-    }
-    if (literal("null")) {
-      field.kind = TraceRecord::Field::Kind::kNull;
-      return true;
-    }
-    std::size_t end = pos;
-    bool is_double = false;
-    while (end < text.size() && text[end] != ',' && text[end] != '}' &&
-           std::isspace(static_cast<unsigned char>(text[end])) == 0) {
-      if (text[end] == '.' || text[end] == 'e' || text[end] == 'E') is_double = true;
-      ++end;
-    }
-    const std::string_view token = text.substr(pos, end - pos);
-    if (token.empty()) return false;
-    if (is_double) {
-      field.kind = TraceRecord::Field::Kind::kDouble;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), field.double_value);
-      if (ec != std::errc{} || ptr != token.data() + token.size()) return false;
-    } else {
-      field.kind = TraceRecord::Field::Kind::kInt;
-      // Large unsigned values (fingerprints) overflow int64; reparse as
-      // uint64 and wrap — accessors only compare these for equality.
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), field.int_value);
-      if (ec == std::errc::result_out_of_range && token.front() != '-') {
-        std::uint64_t wide = 0;
-        const auto [wptr, wec] =
-            std::from_chars(token.data(), token.data() + token.size(), wide);
-        if (wec != std::errc{} || wptr != token.data() + token.size()) return false;
-        field.int_value = static_cast<std::int64_t>(wide);
-      } else if (ec != std::errc{} || ptr != token.data() + token.size()) {
-        return false;
-      }
-    }
-    pos = end;
-    return true;
-  }
-};
-
-}  // namespace
-
 std::optional<TraceRecord> parse_trace_line(std::string_view line) {
-  Scanner scanner{line};
-  if (!scanner.consume('{')) return std::nullopt;
-  TraceRecord record;
-  scanner.skip_space();
-  if (scanner.consume('}')) return record;
-  while (true) {
-    TraceRecord::Field field;
-    if (!scanner.parse_string(field.key)) return std::nullopt;
-    if (!scanner.consume(':')) return std::nullopt;
-    if (!scanner.parse_value(field)) return std::nullopt;
-    record.fields.push_back(std::move(field));
-    if (scanner.consume(',')) continue;
-    if (scanner.consume('}')) break;
-    return std::nullopt;
+  auto value = util::json::parse(line);
+  if (!value || !value->is_object()) return std::nullopt;
+  for (const auto& [key, member] : value->as_object()) {
+    if (member.is_array() || member.is_object()) return std::nullopt;
   }
-  return record;
+  return TraceRecord{*std::move(value)};
 }
 
 }  // namespace ibgp::obs

@@ -7,9 +7,10 @@
 // header record `{"schema": "ibgp-trace-v2", ...}`; every subsequent record
 // carries `"ev"` (event name), `"seq"` (emission sequence number), `"t"`
 // (virtual time), plus event-specific scalar fields.  Records are flat by
-// construction (scalar values only — no nested arrays/objects), which keeps
-// the bundled TraceReader a ~hundred-line scanner instead of a JSON parser
-// (util/json is deliberately write-only).
+// construction (scalar values only — no nested arrays/objects).  The reader,
+// parse_trace_line, is util::json::parse (the strict RFC 8259 parser every
+// checkpoint, journal cell and wire line goes through) plus a check that
+// every member is a scalar.
 //
 // v2 adds causal lineage on top of v1's record set: delivery-driven records
 // carry `"lid"` (the engine event seq being processed) and `"pid"` (the seq
@@ -109,28 +110,28 @@ class TraceSink {
   std::vector<std::string> ring_;
 };
 
-/// One parsed trace record: the flat key/value pairs of a line.
+/// One parsed trace record: a JSON object whose members are all scalars.
 struct TraceRecord {
-  struct Field {
-    std::string key;
-    enum class Kind : std::uint8_t { kString, kInt, kDouble, kBool, kNull } kind;
-    std::string string_value;
-    std::int64_t int_value = 0;
-    double double_value = 0.0;
-    bool bool_value = false;
-  };
-  std::vector<Field> fields;
+  util::json::Value value;
 
-  [[nodiscard]] const Field* find(std::string_view key) const;
-  /// Convenience accessors returning fallback when absent or mistyped.
+  /// The member `key`; nullptr when absent.
+  [[nodiscard]] const util::json::Value* find(std::string_view key) const {
+    return value.find(key);
+  }
+  /// The string member `key`; `fallback` when absent or not a string.
   [[nodiscard]] std::string_view str(std::string_view key,
                                      std::string_view fallback = {}) const;
+  /// The integer member `key` as int64 (a uint64 above INT64_MAX, i.e. a
+  /// fingerprint, wraps: callers only compare those); true/false read as
+  /// 1/0; `fallback` when absent or of any other kind.
   [[nodiscard]] std::int64_t num(std::string_view key, std::int64_t fallback = 0) const;
 };
 
-/// Parses one flat-JSON trace line.  Returns nullopt on malformed input or
-/// nested values (ibgp-trace records are flat by contract, every version).
-/// Unknown keys are preserved as ordinary fields — a v1-era consumer reads
+/// Parses one trace line.  Returns nullopt on anything util::json::parse
+/// refuses (trailing bytes, duplicate keys, malformed numbers), on a
+/// document that is not an object, and on any array or object member, empty
+/// ones included (ibgp-trace records are flat by contract, every version).
+/// Unknown keys are preserved as ordinary members — a v1-era consumer reads
 /// a v2 line without error and simply ignores "lid"/"pid".
 std::optional<TraceRecord> parse_trace_line(std::string_view line);
 

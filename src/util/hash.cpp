@@ -1,5 +1,7 @@
 #include "util/hash.hpp"
 
+#include <cstdio>
+
 namespace ibgp::util {
 
 namespace {
@@ -23,6 +25,12 @@ std::uint64_t fnv1a(std::string_view text) noexcept {
     h *= kFnvPrime;
   }
   return h;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
+  return buf;
 }
 
 }  // namespace ibgp::util

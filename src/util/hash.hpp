@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 namespace ibgp::util {
@@ -17,6 +18,11 @@ std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept;
 
 /// 64-bit FNV-1a over a string.
 std::uint64_t fnv1a(std::string_view text) noexcept;
+
+/// The 16 lowercase hex digits of a fingerprint: the spelling of every
+/// trace hash and fingerprint in sweep documents and BENCH files (wire
+/// replies prefix "0x").
+std::string hex64(std::uint64_t value);
 
 /// Strong 64-bit finalizer (murmur3 fmix64).
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {

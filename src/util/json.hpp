@@ -75,16 +75,15 @@ class Value {
   /// newline) for files only programs read and line-oriented formats.
   [[nodiscard]] std::string dump_compact() const;
 
-  // --- reading back (used by checkpoint restore and journal resume) ---
+  // --- reading back (checkpoint restore, journal resume, trace lines) ---
 
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
   [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
-  [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kUint || kind_ == Kind::kDouble;
-  }
+  [[nodiscard]] bool is_integer() const { return kind_ == Kind::kInt || kind_ == Kind::kUint; }
+  [[nodiscard]] bool is_number() const { return is_integer() || kind_ == Kind::kDouble; }
 
   /// Typed reads.  Integer accessors accept any numeric kind whose value is
   /// exactly representable in the target type (a double is range-checked

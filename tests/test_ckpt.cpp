@@ -715,6 +715,37 @@ TEST(CkptDecode, JournalFinalBestPastTheIdRangeIsRefused) {
   }
 }
 
+TEST(CkptDecode, JournalChurnEndpointPastTheIdRangeIsRefused) {
+  const auto inst = topo::fig3();
+  FaultScriptConfig config;
+  config.seed = 7;
+  config.link_downs = 2;
+  config.window_end = 100;
+  SweepCell cell;
+  cell.instance = &inst;
+  cell.protocol = ProtocolKind::kModified;
+  cell.script = make_fault_script(inst, config);
+  cell.group = "range";
+  cell.seed = config.seed;
+  const CampaignResult result = run_campaign(inst, cell.protocol, cell.script, {});
+  ASSERT_FALSE(result.continuity.churn_events.empty());
+  const auto doc = journal_cell_json(0, cell, result);
+  ASSERT_EQ(parse_journal_cell(doc).continuity.churn_events.size(),
+            result.continuity.churn_events.size());
+
+  // Endpoint 2^32 + 1 used to load as node 1.
+  for (const std::size_t end : {2, 3}) {
+    const std::vector<Step> path = {{"continuity"}, {"churn_events"}, {"", 0}, {"", end}};
+    try {
+      (void)parse_journal_cell(replaced(doc, path, k2to32 + 1));
+      ADD_FAILURE() << "a too-wide churn_events endpoint was narrowed instead of refused";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("churn_events endpoint: "), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- supervisor --------------------------------------------------------------------
 
 std::vector<SweepCell> make_cells(const core::Instance& inst, std::size_t count) {
@@ -941,7 +972,6 @@ TEST(Supervisor, DeadlineTimeoutBecomesStructuredErrorAfterRetries) {
   register_supervisor_metrics(registry);
   SweepOptions options;
   options.cell_deadline = std::chrono::milliseconds(1);
-  options.max_retries = 2;
   options.metrics = &registry;
   const auto result = run_sweep(cells, options);
   if (!result.cells[0].failed()) {

@@ -438,6 +438,55 @@ TEST(Explorer, TornCheckpointStartsFresh) {
   std::remove(path.c_str());
 }
 
+TEST(Explorer, CheckpointWithATooWideNodeIdStartsFresh) {
+  // A frontier link endpoint past the 32-bit id range used to narrow into a
+  // valid id (2^32 read back as node 0) while the rest of the checkpoint
+  // loaded beside it.  It must be refused, and the search start fresh.
+  ExploreConfig config;
+  config.seed = 11;
+  config.budget = 60;
+  config.batch = 20;
+  config.max_steps = 500;
+  config.max_deliveries = 2000;
+  config.random_seeds = 2;
+  config.hybrid_seeds = 1;
+
+  const std::string path = std::string(testing::TempDir()) + "/explore_wide_id_ckpt.json";
+  std::remove(path.c_str());
+  config.checkpoint_path = path;
+  (void)explore(config);
+
+  std::string text;
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(std::getline(in, text));
+  }
+  // Replaces the number that follows the first occurrence of `prefix`.
+  const auto replace_number = [&](std::string_view prefix, std::string_view value) {
+    const auto at = text.find(prefix);
+    ASSERT_NE(at, std::string::npos) << prefix;
+    const auto begin = at + prefix.size();
+    const auto end = text.find_first_not_of("0123456789", begin);
+    text.replace(begin, end - begin, value);
+  };
+  replace_number("\"links\": [[", "4294967296");  // the first frontier spec's
+  replace_number("\"evaluated\": ", "987654321");  // marks the loaded stats
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  config.resume = true;
+  const auto resumed = explore(config);
+  config.checkpoint_path.clear();
+  config.resume = false;
+  const auto reference = explore(config);
+  EXPECT_EQ(resumed.stats.evaluated, reference.stats.evaluated);
+  EXPECT_EQ(resumed.stats.new_coverage, reference.stats.new_coverage);
+  EXPECT_EQ(resumed.stats.hits_raw, reference.stats.hits_raw);
+  std::remove(path.c_str());
+}
+
 // --- mutated-spec DSL round-trip (byte identity under the new knobs) -----------------
 
 TEST(Explorer, MutantTopoRoundTripsByteIdentical) {

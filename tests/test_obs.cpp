@@ -180,8 +180,8 @@ TEST(Trace, WriterRoundTrip) {
   EXPECT_EQ(record->str("rule"), "igp-cost");
   const auto* flip = record->find("flip");
   ASSERT_NE(flip, nullptr);
-  EXPECT_EQ(flip->kind, obs::TraceRecord::Field::Kind::kBool);
-  EXPECT_TRUE(flip->bool_value);
+  ASSERT_TRUE(flip->is_bool());
+  EXPECT_TRUE(flip->as_bool());
 }
 
 TEST(Trace, DisabledSinkEmitsNothing) {
@@ -196,16 +196,61 @@ TEST(Trace, ParseRejectsMalformedAndNested) {
   EXPECT_FALSE(obs::parse_trace_line("{\"nested\": {\"a\": 1}}"))
       << "ibgp-trace-v1 records are flat by contract";
   EXPECT_FALSE(obs::parse_trace_line("{\"arr\": [1, 2]}"));
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\": \"update\", \"meta\": {}}"))
+      << "an empty container is still not a scalar";
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\": \"update\", \"hops\": []}"));
+  EXPECT_FALSE(obs::parse_trace_line("[]")) << "a record is an object";
   const auto ok = obs::parse_trace_line("{\"a\": 1, \"b\": -2.5, \"c\": null}");
   ASSERT_TRUE(ok);
   EXPECT_EQ(ok->num("a"), 1);
   const auto* b = ok->find("b");
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->kind, obs::TraceRecord::Field::Kind::kDouble);
-  EXPECT_DOUBLE_EQ(b->double_value, -2.5);
+  EXPECT_DOUBLE_EQ(b->as_double(), -2.5);
+  EXPECT_EQ(ok->num("b", 7), 7) << "a double is not an integer";
   const auto* c = ok->find("c");
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->kind, obs::TraceRecord::Field::Kind::kNull);
+  EXPECT_TRUE(c->is_null());
+}
+
+TEST(Trace, ParseRefusesTrailingBytes) {
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\": \"update\", \"seq\": 1}trailing garbage"));
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\": \"update\"} {\"ev\": \"update\"}"));
+  EXPECT_TRUE(obs::parse_trace_line("{\"ev\": \"update\", \"seq\": 1}\r"))
+      << "trailing whitespace is not a second document";
+}
+
+TEST(Trace, ParseRefusesDuplicateKeys) {
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\": \"update\", \"seq\": 1, \"ev\": \"decision\"}"))
+      << "a duplicate key would silently shadow the second value";
+}
+
+TEST(Trace, ParseRefusesLeadingZeros) {
+  EXPECT_FALSE(obs::parse_trace_line("{\"seq\": 01}"));
+  EXPECT_FALSE(obs::parse_trace_line("{\"seq\": -01}"));
+  const auto zero = obs::parse_trace_line("{\"seq\": 0}");
+  ASSERT_TRUE(zero);
+  EXPECT_EQ(zero->num("seq", 9), 0);
+}
+
+TEST(Trace, ParseDecodesUnicodeEscapesAsUtf8) {
+  const auto record = obs::parse_trace_line("{\"name\": \"\\u0141\", \"tab\": \"a\\u0009b\"}");
+  ASSERT_TRUE(record);
+  EXPECT_EQ(record->str("name"), "\xC5\x81") << "U+0141 is two UTF-8 bytes";
+  EXPECT_EQ(record->str("tab"), "a\tb");
+}
+
+TEST(Trace, NumReadsBoolsAndWrapsFingerprints) {
+  const auto record = obs::parse_trace_line(
+      "{\"announce\": false, \"flip\": true, \"fp\": 18446744073709551615, "
+      "\"neg\": -3, \"rule\": \"med\"}");
+  ASSERT_TRUE(record);
+  EXPECT_EQ(record->num("announce", 5), 0);
+  EXPECT_EQ(record->num("flip", 5), 1);
+  EXPECT_EQ(record->num("fp"), -1) << "a uint64 above INT64_MAX wraps";
+  EXPECT_EQ(record->num("neg"), -3);
+  EXPECT_EQ(record->num("rule", 5), 5) << "a string is not a number";
+  EXPECT_EQ(record->num("absent", 5), 5);
+  EXPECT_EQ(record->str("flip", "x"), "x") << "a bool is not a string";
 }
 
 TEST(Trace, RingRetainsTailAndCountsDrops) {
@@ -834,7 +879,7 @@ TEST(TraceV2, ReaderToleratesUnknownScalarFieldsAndEventNames) {
   ASSERT_TRUE(with_extras);
   EXPECT_EQ(with_extras->num("from"), 1);
   EXPECT_EQ(with_extras->num("lid"), 7);
-  EXPECT_DOUBLE_EQ(with_extras->find("v3_hint")->double_value, 1.5);
+  EXPECT_DOUBLE_EQ(with_extras->find("v3_hint")->as_double(), 1.5);
 
   const auto unknown_ev = obs::parse_trace_line(
       "{\"ev\": \"quantum-flush\", \"seq\": 1, \"t\": 0, \"lid\": 5}");
