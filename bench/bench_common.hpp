@@ -38,7 +38,8 @@ namespace ibgp::bench {
 /// google-benchmark parses it:
 ///   --jobs N       worker threads for sweep fan-out (0 = hardware)
 ///   --json PATH    write the machine-readable result file (BENCH_*.json)
-///   --smoke        reduced deterministic sweep (CI-sized), where supported
+///   --smoke        reduced deterministic sweep (CI-sized), where supported;
+///                  every bench skips the google-benchmark timings under it
 ///   --metrics PATH write the ibgp-metrics-v1 registry snapshot (sweep
 ///                  benches; deterministic section byte-stable across --jobs)
 ///   --trace PATH   write the ibgp-trace-v1 JSONL event stream (sweep
@@ -485,7 +486,8 @@ inline void run_protocol_benchmark(benchmark::State& state, const core::Instance
 
 /// Strips the shared flags (--jobs/--json/--smoke), prints the report,
 /// emits the --json document (the report's own, or the minimal fallback),
-/// then hands the remaining argv to google-benchmark.
+/// then hands the remaining argv to google-benchmark — except under
+/// --smoke, which stops after the report so stdout holds no timings.
 #define IBGP_BENCH_MAIN(report_fn)                       \
   int main(int argc, char** argv) {                      \
     ::ibgp::bench::strip_common_flags(argc, argv);       \
@@ -494,6 +496,7 @@ inline void run_protocol_benchmark(benchmark::State& state, const core::Instance
     ::ibgp::bench::write_default_json(                   \
         argv[0], std::chrono::duration<double>(          \
                      std::chrono::steady_clock::now() - ibgp_bench_t0).count()); \
+    if (::ibgp::bench::config().smoke) return 0;         \
     ::benchmark::Initialize(&argc, argv);                \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();               \

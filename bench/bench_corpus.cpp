@@ -13,12 +13,16 @@
 // fingerprints, so the E18 rows double as a --jobs determinism check.
 
 #include <cstdlib>
+#include <filesystem>
 
 #include "bench_common.hpp"
 #include "explore/corpus.hpp"
 
 #ifndef IBGP_CORPUS_DIR
 #define IBGP_CORPUS_DIR "examples/data/corpus"
+#endif
+#ifndef IBGP_SOURCE_DIR
+#define IBGP_SOURCE_DIR "."
 #endif
 
 namespace {
@@ -35,7 +39,11 @@ void report() {
                  "modified protocol never oscillates on any of them");
 
   const auto entries = load_entries();
-  std::printf("  corpus: %s (%zu entries)\n", IBGP_CORPUS_DIR, entries.size());
+  // Named relative to the repository, so every checkout prints the same bytes.
+  const auto corpus =
+      std::filesystem::path(IBGP_CORPUS_DIR).lexically_relative(IBGP_SOURCE_DIR).string();
+  std::printf("  corpus: %s (%zu entries)\n", corpus.empty() ? IBGP_CORPUS_DIR : corpus.c_str(),
+              entries.size());
   if (entries.empty()) {
     std::printf("  corpus is empty — nothing to gate\n");
     return;

@@ -30,8 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -39,6 +37,7 @@
 
 #include "obs/causal.hpp"
 #include "obs/trace.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -70,25 +69,24 @@ std::size_t smallest_tail_period(const std::vector<std::int64_t>& seq) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
-  std::size_t top = 10;
-  bool blame = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--blame") == 0) {
-      blame = true;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      std::fprintf(stderr, "usage: %s TRACE.jsonl [--top N] [--blame]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: %s TRACE.jsonl [--top N] [--blame]\n", argv[0]);
+  ibgp::util::Flags flags("trace_inspect TRACE.jsonl",
+                          "offline analysis of an ibgp-trace-v1/v2 JSONL stream");
+  flags.add_int("top", 10, "top talkers to list (N >= 0)");
+  flags.add_bool("blame", false, "print the minimal sustaining causal cycle per oscillating node");
+  const auto usage = [&](const std::string& error) {
+    std::fprintf(stderr, "%s\n%s", error.c_str(), flags.help_text().c_str());
     return 2;
+  };
+  if (!flags.parse(argc, argv)) return usage(std::string(flags.error()));
+  if (flags.help_requested()) {
+    std::printf("%s", flags.help_text().c_str());
+    return 0;
   }
+  if (flags.positional().size() != 1) return usage("expected exactly one trace path");
+  if (flags.get_int("top") < 0) return usage("flag --top expects N >= 0");
+  const char* path = flags.positional().front().c_str();
+  const auto top = static_cast<std::size_t>(flags.get_int("top"));
+  const bool blame = flags.get_bool("blame");
 
   std::ifstream in(path);
   if (!in) {

@@ -1,6 +1,7 @@
 #include "engine/event_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -32,6 +33,7 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
                          DelayFn delay)
     : inst_(&inst),
       protocol_(protocol),
+      unit_delay_(!delay),
       delay_(delay ? std::move(delay)
                    : [](NodeId, NodeId, std::uint64_t) -> SimTime { return 1; }),
       link_state_(inst.physical()),
@@ -114,6 +116,8 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
   // A restored engine's memo starts cold, so its lookups are volatile too.
   registry.counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
   registry.counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
+  // Deliveries an orbit jump accounted for instead of stepping (DESIGN.md §15).
+  registry.counter("engine.orbit.skipped", obs::MetricClass::kVolatile);
   // Profiler span sinks (set_profile): wall time is volatile by nature.
   obs::span_histogram(registry, "engine.span.delivery_ns");
   obs::span_histogram(registry, "engine.span.decision_ns");
@@ -152,6 +156,8 @@ void EventEngine::set_metrics(obs::MetricsRegistry* registry, MetricScope scope)
       &registry->counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
   handles_.memo_misses =
       &registry->counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
+  handles_.orbit_skipped =
+      &registry->counter("engine.orbit.skipped", obs::MetricClass::kVolatile);
 }
 
 void EventEngine::set_profile(bool enabled) {
@@ -945,8 +951,20 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
   result.end_time = resume_end_time_;
   resume_deliveries_ = 0;
   resume_end_time_ = 0;
+  // An orbit may be jumped only when nothing attached can tell two of its
+  // periods apart (DESIGN.md §15).  Watching starts once this call has made
+  // (directed sessions x paths) deliveries, and at least one, so that
+  // end_time is the last processed event's time.
+  bool watching = !horizon && unit_delay_ && injector_ == nullptr && !tracing() && mrai_ == 0;
+  const std::size_t watch_from =
+      result.deliveries + std::max<std::size_t>(1, session_slots_.size() * inst_->exits().size());
+  OrbitWatch watch;
   while (!queue_.empty() && result.deliveries < max_deliveries) {
     if (horizon && queue_.top().time > *horizon) break;
+    if (watching && result.deliveries >= watch_from && queue_.top().time > result.end_time) {
+      watching = watch_orbit(watch, result, max_deliveries);
+      if (result.deliveries >= max_deliveries) break;  // the jump spent the budget
+    }
     if (deadline_ && (result.deliveries & 0xFFF) == 0 &&
         std::chrono::steady_clock::now() >= *deadline_) {
       throw DeadlineExceeded("EventEngine::run: wall-clock deadline exceeded");
@@ -1122,6 +1140,117 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
   return result;
 }
 
+bool EventEngine::watch_orbit(OrbitWatch& watch, Result& result,
+                              std::size_t max_deliveries) {
+  const SimTime now = result.end_time;
+  // The queue relative to the boundary, in (time, seq) order.  A boundary
+  // with anything but UPDATEs queued is not eligible: a fault may follow.
+  std::vector<Event>& queue = watch.queue;
+  queue.clear();
+  for (const Event& event : queue_.events()) {
+    if (event.kind != EventKind::kUpdate) return true;
+    Event& relative = queue.emplace_back(event);
+    relative.time -= now;
+    relative.seq = next_seq_ - event.seq;
+    if (event.pid != kNoCause) relative.pid = next_seq_ - event.pid;
+  }
+  std::sort(queue.begin(), queue.end(), [](const Event& a, const Event& b) {
+    return a.time != b.time ? a.time < b.time : a.seq > b.seq;
+  });
+  const auto ahead = [now](const SessionSlot& slot) -> SimTime {
+    return slot.last_delivery > now + 1 ? slot.last_delivery - now : 0;
+  };
+
+  if (++watch.boundaries > 1 && queue == watch.anchor_queue && fib_ == watch.fib &&
+      fib_frozen_ == watch.fib_frozen &&
+      std::ranges::equal(session_slots_, watch.slot_ahead, {}, ahead) && nodes_ == watch.nodes) {
+    // The state recurred: every later delivery repeats the period since
+    // the anchor, shifted.  Nothing shifted may wrap past 2^64, so the
+    // periods are capped there (stepping goes on from the cap).
+    const auto headroom = [](std::uint64_t base, std::uint64_t delta) {
+      constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+      return delta == 0 ? kMax : (kMax - base) / delta;
+    };
+    SimTime latest = now;
+    for (const Event& event : queue_.events()) latest = std::max(latest, event.time);
+    for (const SessionSlot& slot : session_slots_) latest = std::max(latest, slot.last_delivery);
+    const std::uint64_t periods =
+        std::min({std::uint64_t{(max_deliveries - result.deliveries) /
+                                (result.deliveries - watch.deliveries)},
+                  headroom(latest, now - watch.end_time),
+                  headroom(next_seq_, next_seq_ - watch.next_seq),
+                  headroom(session_msg_seq_, session_msg_seq_ - watch.session_msg_seq)});
+    if (periods > 0) jump_orbit(watch, result, periods);
+    return false;  // fewer deliveries than one period remain
+  }
+  if (std::has_single_bit(watch.boundaries)) {
+    watch.anchor_queue.swap(queue);
+    watch.nodes = nodes_;
+    watch.fib = fib_;
+    watch.fib_frozen = fib_frozen_;
+    watch.slot_ahead.clear();
+    for (const SessionSlot& slot : session_slots_) watch.slot_ahead.push_back(ahead(slot));
+    watch.deliveries = result.deliveries;
+    watch.end_time = now;
+    watch.next_seq = next_seq_;
+    watch.session_msg_seq = session_msg_seq_;
+    watch.counters = counters_;
+    watch.flips_by_node = flips_by_node_;
+    watch.flap_log_size = flap_log_.size();
+    watch.fib_log_size = fib_log_.size();
+  }
+  return true;
+}
+
+void EventEngine::jump_orbit(const OrbitWatch& watch, Result& result, std::uint64_t periods) {
+  const std::size_t deliveries = result.deliveries - watch.deliveries;
+  const SimTime ticks = result.end_time - watch.end_time;
+  const std::uint64_t seqs = next_seq_ - watch.next_seq;
+  // Each total grows by `periods` times its growth over the period (with
+  // the unsigned wrap-around stepping would give).
+  const auto repeat = [periods](auto& total, auto at_anchor) {
+    total += periods * (total - at_anchor);
+  };
+  for (const CounterField& field : kEngineCounters) {
+    repeat(counters_.*field.member, watch.counters.*field.member);
+  }
+  for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+    repeat(counters_.decisions_by_rule[rule], watch.counters.decisions_by_rule[rule]);
+  }
+  for (NodeId v = 0; v < nodes_.size(); ++v) {
+    for (std::size_t rule = 0; rule < bgp::kSelectionRuleCount; ++rule) {
+      repeat(counters_.decisions_by_node[v][rule], watch.counters.decisions_by_node[v][rule]);
+    }
+    repeat(flips_by_node_[v], watch.flips_by_node[v]);
+  }
+  // The period's log records, copy j shifted by j periods.  push_back, not
+  // an exact reserve: the logs grow as stepping would grow them.
+  const auto replicate = [&](auto& log, std::size_t from) {
+    const std::size_t to = log.size();
+    if (from == to) return;
+    for (std::uint64_t copy = 1; copy <= periods; ++copy) {
+      for (std::size_t i = from; i < to; ++i) {
+        auto record = log[i];
+        record.time += copy * ticks;
+        log.push_back(record);
+      }
+    }
+  };
+  replicate(flap_log_, watch.flap_log_size);
+  replicate(fib_log_, watch.fib_log_size);
+  // Under unit delay a slot written in the period sits beyond the anchor's
+  // now + 1; the others were not written and stay as they are.
+  queue_.shift(periods * ticks, periods * seqs);
+  for (SessionSlot& slot : session_slots_) {
+    if (slot.last_delivery > watch.end_time + 1) slot.last_delivery += periods * ticks;
+  }
+  next_seq_ += periods * seqs;
+  session_msg_seq_ += periods * (session_msg_seq_ - watch.session_msg_seq);
+  result.deliveries += periods * deliveries;
+  result.end_time += periods * ticks;
+  orbit_skipped_ += periods * deliveries;
+}
+
 void EventEngine::set_deadline(
     std::optional<std::chrono::steady_clock::time_point> deadline) {
   deadline_ = deadline;
@@ -1150,6 +1279,7 @@ void EventEngine::flush_metrics(const Result& result) {
   handles_.queue_depth_max->record_max(static_cast<std::int64_t>(max_queue_depth_));
   handles_.memo_hits->add(std::exchange(memo_hits_, 0));
   handles_.memo_misses->add(std::exchange(memo_misses_, 0));
+  handles_.orbit_skipped->add(std::exchange(orbit_skipped_, 0));
 }
 
 EngineState EventEngine::capture() const {

@@ -226,6 +226,7 @@ struct Event {
                              // (stale timers of an older restart must not
                              // fire into a newer one)
   Cost cost = 0;             // kLinkCostChange: the new metric
+  bool operator==(const Event&) const = default;
 };
 
 /// One router's protocol state: Adj-RIB-In, own E-BGP routes, best route,
@@ -246,6 +247,7 @@ struct NodeState {
   std::vector<std::vector<PathId>> desired_out;
   std::vector<SimTime> mrai_ready;
   std::vector<bool> flush_scheduled;
+  bool operator==(const NodeState&) const = default;
 };
 
 /// The engine's deterministic counters, cumulative over a run and across
@@ -509,11 +511,21 @@ class EventEngine {
   /// On an engine restored from a checkpoint, deliveries/end_time continue
   /// from the captured run (so the budget and the returned Result are those
   /// of the equivalent uninterrupted run, not of the remainder).
+  ///
+  /// When nothing attached can tell two periods of an orbit apart (the
+  /// engine was built without a DelayFn, and no fault injector, enabled
+  /// trace sink or MRAI is attached), run() watches its tick boundaries for
+  /// a state that recurs up to a shift in time and sequence numbers, and
+  /// then accounts for every whole period the budget leaves at once
+  /// (DESIGN.md §15).  Everything observable — the Result, capture(), the
+  /// logs and every counter — equals what stepping each delivery gives;
+  /// only the volatile metrics see the difference (engine.orbit.skipped).
   Result run(std::size_t max_deliveries = 1'000'000);
 
   /// Like run(), but also stops (without draining) as soon as the next
   /// pending event lies strictly after `horizon` — the cooperative stepping
   /// hook a long-lived service needs to interleave ingest with processing.
+  /// It steps every delivery: it never jumps an orbit.
   /// Events AT the horizon are processed.  The returned Result's
   /// `converged` means "quiescent up to and including horizon": either the
   /// queue drained or everything left is scheduled later.  Repeated calls
@@ -706,6 +718,15 @@ class EventEngine {
       c = std::move(events);
       std::make_heap(c.begin(), c.end(), comp);
     }
+    /// Moves every event `dt` ticks later and `ds` seqs on, causes included
+    /// (a root's kNoCause stays).  The heap order is unchanged.
+    void shift(SimTime dt, std::uint64_t ds) {
+      for (Event& event : c) {
+        event.time += dt;
+        event.seq += ds;
+        if (event.pid != kNoCause) event.pid += ds;
+      }
+    }
   };
 
   /// Class of a session peer relative to the exporting node, as the
@@ -785,6 +806,43 @@ class EventEngine {
                   const bgp::SelectionProvenance& provenance);
   };
 
+  /// Brent's cycle search over the tick boundaries of one run() (DESIGN.md
+  /// §15).  The anchor is one boundary's protocol state in relative form —
+  /// queue times after the boundary, seqs and causes counted back from
+  /// next_seq_, each slot's last_delivery only beyond now + 1 (FIFO cannot
+  /// bind below it) — plus the run's totals there.  What the anchor leaves
+  /// out (node and session modes, GR generations, E-BGP liveness, the IGP)
+  /// changes only when a non-UPDATE event is processed, and none is queued
+  /// at or after an eligible boundary.
+  struct OrbitWatch {
+    std::size_t boundaries = 0;  // eligible boundaries met so far
+    std::vector<Event> queue;    // the current boundary's relative queue
+    // The anchor: protocol state...
+    std::vector<Event> anchor_queue;
+    std::vector<NodeState> nodes;
+    std::vector<PathId> fib;
+    std::vector<bool> fib_frozen;
+    std::vector<SimTime> slot_ahead;
+    // ...and totals.
+    std::size_t deliveries = 0;
+    SimTime end_time = 0;
+    std::uint64_t next_seq = 0;
+    std::uint64_t session_msg_seq = 0;
+    EngineCounters counters;
+    std::vector<std::size_t> flips_by_node;
+    std::size_t flap_log_size = 0;
+    std::size_t fib_log_size = 0;
+  };
+
+  /// At a tick boundary of a run that may jump: on a recurrence of the
+  /// anchor, jumps every whole period the budget leaves; otherwise
+  /// re-anchors at the 1st, 2nd, 4th, 8th... eligible boundary.  Returns
+  /// whether to keep watching.
+  bool watch_orbit(OrbitWatch& watch, Result& result, std::size_t max_deliveries);
+  /// Accounts for `periods` more repetitions of the period since the
+  /// anchor, as stepping them would.
+  void jump_orbit(const OrbitWatch& watch, Result& result, std::uint64_t periods);
+
   /// Throws std::logic_error once an event is scheduled: `setter` configures
   /// the whole run, so it must come first.
   void require_unsealed(const char* setter) const;
@@ -854,6 +912,7 @@ class EventEngine {
 
   const core::Instance* inst_;
   core::ProtocolKind protocol_;
+  bool unit_delay_;  // built without a DelayFn: every message takes one tick
   DelayFn delay_;
   netsim::LinkState link_state_;  // mutable underlay state (costs + down flags)
   std::shared_ptr<const netsim::ShortestPaths> igp_;  // current epoch
@@ -875,6 +934,8 @@ class EventEngine {
   // restored engine starts cold), outside EngineCounters and every hash.
   std::uint64_t memo_hits_ = 0;
   std::uint64_t memo_misses_ = 0;
+  // Deliveries orbit jumps accounted for, not yet flushed: volatile too.
+  std::uint64_t orbit_skipped_ = 0;
   std::vector<ExportVerdict> verdicts_;
   std::vector<PathId> target_;
   std::vector<bool> node_up_;
@@ -909,6 +970,7 @@ class EventEngine {
     obs::Gauge* queue_depth_max = nullptr;
     obs::Counter* memo_hits = nullptr;
     obs::Counter* memo_misses = nullptr;
+    obs::Counter* orbit_skipped = nullptr;
   } handles_;
   /// Profiler span sinks (set_profile); null = off, sites never read the
   /// clock.  The span sites read the `live_*` pointers, armed once per

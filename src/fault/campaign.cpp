@@ -133,6 +133,14 @@ CampaignResult finish_campaign(engine::EventEngine& engine, const core::Instance
   return campaign;
 }
 
+// The injector is attached only when it can drop or duplicate: otherwise
+// it answers deliver to every message and never drops one, and leaving it
+// off lets a budget-bound run jump its orbit (DESIGN.md §15).
+void attach_injector(engine::EventEngine& engine, const FaultScript& script,
+                     ScriptInjector& injector) {
+  if (script.loss_prob > 0.0 || script.dup_prob > 0.0) engine.set_fault_injector(&injector);
+}
+
 // Builds and scripts a fresh engine exactly the way run_campaign always has.
 void script_engine(engine::EventEngine& engine, const FaultScript& script,
                    const CampaignOptions& options, ScriptInjector& injector) {
@@ -143,7 +151,7 @@ void script_engine(engine::EventEngine& engine, const FaultScript& script,
   }
   if (options.profile) engine.set_profile(true);
   if (options.trace != nullptr) engine.set_trace(options.trace);
-  engine.set_fault_injector(&injector);
+  attach_injector(engine, script, injector);
   engine.inject_all_exits(0);
   apply_script(script, engine);
 }
@@ -200,7 +208,7 @@ CampaignResult resume_campaign(const core::Instance& inst, core::ProtocolKind pr
   }
   if (options.profile) engine.set_profile(true);
   if (options.trace != nullptr) engine.set_trace(options.trace);
-  engine.set_fault_injector(&injector);
+  attach_injector(engine, script, injector);
   engine.restore(state);
   if (options.trace != nullptr && options.trace->enabled()) {
     util::json::Object fields;

@@ -1,9 +1,9 @@
 #pragma once
-// Test-only scenario builders shared by the differential suites that step
-// scripted runs delivery by delivery (test_memo_diff.cpp,
-// test_snapshot_diff.cpp): protocol/MRAI variants, a jittered delay, a
-// fault script that uses every fault kind an instance can host, and the
-// random-instance shape those suites sweep.
+// Test-only scenario builders shared by the differential suites
+// (test_memo_diff.cpp, test_snapshot_diff.cpp, test_orbit_diff.cpp):
+// protocol/MRAI variants, a jittered delay, a fault script that uses every
+// fault kind an instance can host, and the random-instance shape those
+// suites sweep.
 
 #include <cstdint>
 #include <memory>

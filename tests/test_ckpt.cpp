@@ -36,6 +36,7 @@
 #include "fault/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenarios.hpp"
 #include "topo/figures.hpp"
 #include "util/json.hpp"
 
@@ -951,9 +952,10 @@ TEST(Supervisor, JournalCellJsonRoundTrips) {
 TEST(Supervisor, DeadlineTimeoutBecomesStructuredErrorAfterRetries) {
   // A heavy cell against a 1 ms budget: the cooperative deadline fires,
   // the supervisor retries with doubled budgets, and the cell lands as a
-  // timed_out CellError with the attempt count.  On a machine fast enough
-  // to finish 50k+ deliveries inside 1 ms the premise evaporates — skip
-  // rather than flake.
+  // timed_out CellError with the attempt count.  The jittered delay keeps
+  // the run from jumping its orbit (DESIGN.md §15), so each attempt really
+  // steps toward 2M deliveries.  On a machine fast enough to finish 50k+
+  // deliveries inside 1 ms the premise evaporates — skip rather than flake.
   const auto inst = topo::fig1a();
   FaultScriptConfig config;
   config.seed = 99;
@@ -964,6 +966,7 @@ TEST(Supervisor, DeadlineTimeoutBecomesStructuredErrorAfterRetries) {
   cell.protocol = ProtocolKind::kStandard;  // oscillates on fig1a: burns the budget
   cell.script = make_fault_script(inst, config);
   cell.options.max_deliveries = 2'000'000;
+  cell.options.delay = scenarios::jittered_delay(config.seed);
   cell.group = "deadline";
   cell.seed = config.seed;
   const std::vector<SweepCell> cells{cell};
