@@ -53,15 +53,23 @@ int main(int argc, char** argv) {
   flags.add_int("kill-after", 0, "chaos hook: SIGKILL self after flushing reply #N (0 = off)");
   flags.add_string("metrics-file", "", "write Prometheus text exposition here (atomic rewrite)");
   flags.add_int("metrics-interval-ms", 1000, "exposition rewrite cadence for --metrics-file");
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", std::string(flags.error()).c_str(),
-                 flags.help_text().c_str());
+  const auto usage = [&](const std::string& error) {
+    std::fprintf(stderr, "%s\n%s", error.c_str(), flags.help_text().c_str());
     return 2;
-  }
+  };
+  if (!flags.parse(argc, argv)) return usage(std::string(flags.error()));
   if (flags.help_requested()) {
     std::printf("%s", flags.help_text().c_str());
     return 0;
   }
+  // A negative count or duration would wrap through the unsigned options
+  // (--ckpt-every -1 would never checkpoint), and a queue of capacity 0
+  // could never admit a record.
+  for (const char* name : {"ckpt-every", "spf-cache-epochs", "watchdog-interval-ms",
+                           "watchdog-stall-ms", "kill-after", "metrics-interval-ms"}) {
+    if (flags.get_int(name) < 0) return usage(std::string("flag --") + name + " expects N >= 0");
+  }
+  if (flags.get_int("queue-cap") < 1) return usage("flag --queue-cap expects N >= 1");
 
   std::shared_ptr<core::Instance> instance;
   try {

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "daemon/wire.hpp"
@@ -37,7 +38,11 @@ struct IngestItem {
 
 class IngestQueue {
  public:
-  explicit IngestQueue(std::size_t capacity) : capacity_(capacity) {}
+  /// Throws std::invalid_argument on capacity 0: no state record could
+  /// ever be admitted, so the producer would block for good.
+  explicit IngestQueue(std::size_t capacity) : capacity_(capacity) {
+    if (capacity == 0) throw std::invalid_argument("IngestQueue: capacity must be at least 1");
+  }
 
   /// Enqueues one line.  Blocks while the queue holds `capacity` live
   /// items and the line is a state record; sheds instead of blocking when

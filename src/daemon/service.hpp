@@ -31,6 +31,7 @@
 namespace ibgp::daemon {
 
 struct ServiceOptions {
+  /// Live ingest records; 0 makes the constructor throw (IngestQueue).
   std::size_t queue_capacity = 256;
   bool watchdog_enabled = true;
   Watchdog::Options watchdog;

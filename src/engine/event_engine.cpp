@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "obs/span.hpp"
-#include "util/hash.hpp"
 
 namespace ibgp::engine {
 
@@ -41,7 +40,6 @@ EventEngine::EventEngine(const core::Instance& inst, core::ProtocolKind protocol
       nodes_(inst.node_count()),
       export_(inst.node_count()),
       session_base_(inst.node_count() + 1, 0),
-      memo_(inst.node_count()),
       node_up_(inst.node_count(), true),
       graceful_down_(inst.node_count(), false),
       gr_generation_(inst.node_count(), 0),
@@ -113,9 +111,6 @@ void register_event_engine_metrics(obs::MetricsRegistry& registry) {
     registry.counter(rule_metric_name(rule));
   }
   registry.gauge("engine.queue_depth_max");  // schedule-dependent: volatile
-  // A restored engine's memo starts cold, so its lookups are volatile too.
-  registry.counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
-  registry.counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
   // Deliveries an orbit jump accounted for instead of stepping (DESIGN.md §15).
   registry.counter("engine.orbit.skipped", obs::MetricClass::kVolatile);
   // Profiler span sinks (set_profile): wall time is volatile by nature.
@@ -152,10 +147,6 @@ void EventEngine::set_metrics(obs::MetricsRegistry* registry, MetricScope scope)
     }
   }
   handles_.queue_depth_max = &registry->gauge("engine.queue_depth_max");
-  handles_.memo_hits =
-      &registry->counter("engine.decision_memo.hits", obs::MetricClass::kVolatile);
-  handles_.memo_misses =
-      &registry->counter("engine.decision_memo.misses", obs::MetricClass::kVolatile);
   handles_.orbit_skipped =
       &registry->counter("engine.orbit.skipped", obs::MetricClass::kVolatile);
 }
@@ -279,13 +270,11 @@ void EventEngine::schedule_graceful_down(NodeId v, SimTime when) {
   push_fault(EventKind::kGracefulDown, v, kNoNode, when);
 }
 
-std::size_t EventEngine::require_link(NodeId a, NodeId b, const char* what) const {
-  const auto link = inst_->physical().find_link(a, b);
-  if (!link) {
+void EventEngine::require_link(NodeId a, NodeId b, const char* what) const {
+  if (!inst_->physical().find_link(a, b)) {
     throw std::invalid_argument(std::string("EventEngine::") + what +
                                 ": no such physical link");
   }
-  return *link;
 }
 
 void EventEngine::schedule_link_cost_change(NodeId a, NodeId b, Cost cost,
@@ -381,47 +370,14 @@ void EventEngine::enqueue_update(NodeId from, std::size_t peer_index, PathId pat
   }
 }
 
-const EventEngine::DecisionMemo::Entry* EventEngine::DecisionMemo::find(
-    std::uint64_t hash, const netsim::ShortestPaths* igp,
-    std::span<const bgp::Candidate> candidates) const {
-  for (const Entry& entry : entries) {
-    if (entry.hash == hash && entry.igp == igp &&
-        std::ranges::equal(entry.candidates, candidates)) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-void EventEngine::DecisionMemo::remember(std::uint64_t hash, const netsim::ShortestPaths* igp,
-                                         std::span<const bgp::Candidate> candidates,
-                                         const core::NodeDecision& decision,
-                                         const bgp::SelectionProvenance& provenance) {
-  if (std::find(seen.begin(), seen.end(), hash) == seen.end()) {
-    seen[next_seen] = hash;  // first meeting: only note the key
-    next_seen = (next_seen + 1) % kSize;
-    return;
-  }
-  if (entries.size() < kSize) entries.emplace_back();
-  Entry& entry = entries[next_entry];
-  next_entry = (next_entry + 1) % kSize;
-  entry.hash = hash;
-  entry.igp = igp;
-  entry.candidates.assign(candidates.begin(), candidates.end());
-  entry.decision = decision;
-  entry.provenance = provenance;
-}
-
 void EventEngine::reconsider(NodeId u, SimTime now) {
   NodeState& node = nodes_[u];
 
   // Candidates: own injected exits plus everything some peer announced,
   // attributed to the lowest-BGP-id holder — the source export keys on too.
-  // The memo key's hash is folded in as the list is built.
   auto& candidates = candidates_;
   candidates.clear();
   sources_.clear();
-  std::uint64_t hash = reinterpret_cast<std::uintptr_t>(igp_.get());
   for (PathId p = 0; p < inst_->exits().size(); ++p) {
     NodeId source = kNoNode;
     BgpId learned_from = std::numeric_limits<BgpId>::max();
@@ -439,28 +395,15 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     }
     candidates.push_back({p, learned_from});
     sources_.push_back(source);
-    // One multiply per candidate: the hash only filters memo entries.
-    hash = (hash ^ (std::uint64_t{p} << 32 | learned_from)) * 0x9e3779b97f4a7c15ULL;
   }
-  hash = util::mix64(hash);
 
   // Selection prices candidates with the *current* IGP epoch: after a link
   // fault the same candidate set can pick a different exit purely because
   // the distances moved.
-  const core::NodeDecision* decision = &decision_;
   bgp::SelectionProvenance provenance;
   {
     const obs::Span span(profile_.live_decision);
-    DecisionMemo& memo = memo_[u];
-    if (const DecisionMemo::Entry* hit = memo.find(hash, igp_.get(), candidates)) {
-      ++memo_hits_;
-      decision = &hit->decision;
-      provenance = hit->provenance;
-    } else {
-      ++memo_misses_;
-      core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
-      memo.remember(hash, igp_.get(), candidates, decision_, provenance);
-    }
+    core::decide(*inst_, *igp_, protocol_, u, candidates, decision_, &provenance);
   }
   if (provenance.selected) {
     ++counters_.decisions_total;
@@ -471,7 +414,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   }
 
   const PathId old_best = node.best ? node.best->path : kNoPath;
-  const PathId new_best = decision->best ? decision->best->path : kNoPath;
+  const PathId new_best = decision_.best ? decision_.best->path : kNoPath;
   if (old_best != new_best) {
     ++counters_.best_flips;
     ++flips_by_node_[u];
@@ -492,7 +435,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
     if (cause_ != kNoCause) fields.emplace_back("lid", cause_);
     trace_->emit(now, "decision", std::move(fields));
   }
-  node.best = decision->best;
+  node.best = decision_.best;
   // reconsider only runs on control-plane-up nodes, so the FIB tracks the
   // best route here.  A FIB frozen by graceful restart stays on its
   // pre-restart entry through the post-restart resync (when best is
@@ -509,7 +452,7 @@ void EventEngine::reconsider(NodeId u, SimTime now) {
   // One export verdict per advertised path (both lists ascend by path).
   verdicts_.clear();
   std::size_t c = 0;
-  for (const PathId p : decision->advertised) {
+  for (const PathId p : decision_.advertised) {
     while (c < candidates.size() && candidates[c].path < p) ++c;
     const NodeId source =
         c < candidates.size() && candidates[c].path == p ? sources_[c] : kNoNode;
@@ -972,6 +915,8 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
     max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
     const Event event = queue_.top();
     queue_.pop();
+    // Any other kind changes state the orbit anchor does not hold.
+    if (event.kind != EventKind::kUpdate) watch.boundaries = 0;
     ++result.deliveries;
     result.end_time = event.time;
     // Causal cursor for everything this delivery touches: records emitted
@@ -1143,12 +1088,17 @@ EventEngine::Result EventEngine::run_impl(std::size_t max_deliveries,
 bool EventEngine::watch_orbit(OrbitWatch& watch, Result& result,
                               std::size_t max_deliveries) {
   const SimTime now = result.end_time;
-  // The queue relative to the boundary, in (time, seq) order.  A boundary
-  // with anything but UPDATEs queued is not eligible: a fault may follow.
+  // The queued UPDATEs relative to the boundary, in (time, seq) order.
+  // Every other event waits unchanged until the fence, the earliest of
+  // them, is popped: until then the run processes UPDATEs only.
   std::vector<Event>& queue = watch.queue;
   queue.clear();
+  SimTime fence = std::numeric_limits<SimTime>::max();
   for (const Event& event : queue_.events()) {
-    if (event.kind != EventKind::kUpdate) return true;
+    if (event.kind != EventKind::kUpdate) {
+      fence = std::min(fence, event.time);
+      continue;
+    }
     Event& relative = queue.emplace_back(event);
     relative.time -= now;
     relative.seq = next_seq_ - event.seq;
@@ -1164,24 +1114,29 @@ bool EventEngine::watch_orbit(OrbitWatch& watch, Result& result,
   if (++watch.boundaries > 1 && queue == watch.anchor_queue && fib_ == watch.fib &&
       fib_frozen_ == watch.fib_frozen &&
       std::ranges::equal(session_slots_, watch.slot_ahead, {}, ahead) && nodes_ == watch.nodes) {
-    // The state recurred: every later delivery repeats the period since
-    // the anchor, shifted.  Nothing shifted may wrap past 2^64, so the
-    // periods are capped there (stepping goes on from the cap).
+    // The state recurred: every later delivery up to the fence repeats
+    // the period since the anchor, shifted.  Nothing shifted may wrap past
+    // 2^64, so the periods are capped there (stepping goes on from the cap).
     const auto headroom = [](std::uint64_t base, std::uint64_t delta) {
       constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
       return delta == 0 ? kMax : (kMax - base) / delta;
     };
+    const SimTime ticks = now - watch.end_time;
     SimTime latest = now;
     for (const Event& event : queue_.events()) latest = std::max(latest, event.time);
     for (const SessionSlot& slot : session_slots_) latest = std::max(latest, slot.last_delivery);
-    const std::uint64_t periods =
+    const std::uint64_t whole =
         std::min({std::uint64_t{(max_deliveries - result.deliveries) /
                                 (result.deliveries - watch.deliveries)},
-                  headroom(latest, now - watch.end_time),
-                  headroom(next_seq_, next_seq_ - watch.next_seq),
+                  headroom(latest, ticks), headroom(next_seq_, next_seq_ - watch.next_seq),
                   headroom(session_msg_seq_, session_msg_seq_ - watch.session_msg_seq)});
+    // Stepping k periods processes events up to now + k * ticks, so k stops
+    // short of the fence.
+    const std::uint64_t periods = std::min(whole, (fence - now - 1) / ticks);
     if (periods > 0) jump_orbit(watch, result, periods);
-    return false;  // fewer deliveries than one period remain
+    if (periods == whole) return false;  // fewer deliveries than one period remain
+    watch.boundaries = 0;  // step to the fence, then watch afresh past it
+    return true;
   }
   if (std::has_single_bit(watch.boundaries)) {
     watch.anchor_queue.swap(queue);
@@ -1240,7 +1195,7 @@ void EventEngine::jump_orbit(const OrbitWatch& watch, Result& result, std::uint6
   replicate(fib_log_, watch.fib_log_size);
   // Under unit delay a slot written in the period sits beyond the anchor's
   // now + 1; the others were not written and stay as they are.
-  queue_.shift(periods * ticks, periods * seqs);
+  queue_.shift_updates(periods * ticks, periods * seqs);
   for (SessionSlot& slot : session_slots_) {
     if (slot.last_delivery > watch.end_time + 1) slot.last_delivery += periods * ticks;
   }
@@ -1277,8 +1232,6 @@ void EventEngine::flush_metrics(const Result& result) {
     }
   }
   handles_.queue_depth_max->record_max(static_cast<std::int64_t>(max_queue_depth_));
-  handles_.memo_hits->add(std::exchange(memo_hits_, 0));
-  handles_.memo_misses->add(std::exchange(memo_misses_, 0));
   handles_.orbit_skipped->add(std::exchange(orbit_skipped_, 0));
 }
 
@@ -1588,9 +1541,10 @@ void EventEngine::restore(const EngineState& state) {
   // Re-materialize the epoch history through the instance's memoized SPF
   // cache (same effective vector -> pointer-identical ShortestPaths, so
   // continuity replay and epoch-revert identities survive the round trip).
-  // The current epoch is the last logged object itself, so every epoch the
-  // engine uses stays alive in igp_log_, which the decision memo's keys
-  // rely on; the memo itself starts empty.
+  // The current epoch is the last logged object itself, not a second cache
+  // lookup: as on the captured engine, igp() and the last igp_log() record
+  // stay one object, even when an engine sharing the bounded cache evicts
+  // that epoch in between.
   link_state_ = std::move(link_state);
   igp_log_.clear();
   igp_log_.reserve(state.igp_log.size());
@@ -1599,7 +1553,6 @@ void EventEngine::restore(const EngineState& state) {
     igp_log_.push_back({snapshot.time, epoch->fingerprint(), epoch, snapshot.effective});
   }
   igp_ = igp_log_.empty() ? inst_->igp_handle() : igp_log_.back().igp;
-  memo_.assign(n, DecisionMemo{});
 
   nodes_ = state.nodes;
   // The export cache is derived: each node's first reconsider re-derives

@@ -358,8 +358,8 @@ class EventEngine {
   /// registry at the end of each run() — counter increments commute, so a
   /// registry shared across sweep workers stays byte-identical across
   /// --jobs (see obs/metrics.hpp) — unless `scope` is kVolatile.  The
-  /// volatile metrics (queue depth, decision-memo lookups, spans) are
-  /// pushed either way.  Metric names are pre-registered via
+  /// volatile metrics (queue depth, deliveries skipped by orbit jumps,
+  /// spans) are pushed either way.  Metric names are pre-registered via
   /// register_event_engine_metrics(); attach before fan-out to keep
   /// snapshot ordering deterministic.  Same precondition as set_mrai: must
   /// be called before any event is scheduled.
@@ -516,8 +516,9 @@ class EventEngine {
   /// engine was built without a DelayFn, and no fault injector, enabled
   /// trace sink or MRAI is attached), run() watches its tick boundaries for
   /// a state that recurs up to a shift in time and sequence numbers, and
-  /// then accounts for every whole period the budget leaves at once
-  /// (DESIGN.md §15).  Everything observable — the Result, capture(), the
+  /// then accounts at once for every whole period the budget leaves before
+  /// the earliest queued event that is not an UPDATE, such as a scripted
+  /// fault (DESIGN.md §15).  Everything observable — the Result, capture(), the
   /// logs and every counter — equals what stepping each delivery gives;
   /// only the volatile metrics see the difference (engine.orbit.skipped).
   Result run(std::size_t max_deliveries = 1'000'000);
@@ -718,14 +719,17 @@ class EventEngine {
       c = std::move(events);
       std::make_heap(c.begin(), c.end(), comp);
     }
-    /// Moves every event `dt` ticks later and `ds` seqs on, causes included
-    /// (a root's kNoCause stays).  The heap order is unchanged.
-    void shift(SimTime dt, std::uint64_t ds) {
+    /// Moves every UPDATE `dt` ticks later and `ds` seqs on, causes included
+    /// (a root's kNoCause stays).  Other events keep their time and seq, so
+    /// a shifted UPDATE may pass one: the heap is rebuilt.
+    void shift_updates(SimTime dt, std::uint64_t ds) {
       for (Event& event : c) {
+        if (event.kind != EventKind::kUpdate) continue;
         event.time += dt;
         event.seq += ds;
         if (event.pid != kNoCause) event.pid += ds;
       }
+      std::make_heap(c.begin(), c.end(), comp);
     }
   };
 
@@ -769,54 +773,17 @@ class EventEngine {
     bool resync = false;
   };
 
-  /// A node's recent core::decide results, so an orbit that keeps handing
-  /// the node the same candidate list pays a lookup instead of a selection
-  /// (DESIGN.md §13).  Derived scratch like ExportCache: never captured,
-  /// restored, journaled, hashed or exported.
-  struct DecisionMemo {
-    static constexpr std::size_t kSize = 8;
-    struct Entry {
-      std::uint64_t hash = 0;
-      // The key is (epoch, candidates).  The epoch pointer cannot name two
-      // different epochs during the engine's life: every epoch the engine
-      // has used stays alive in igp_log_ (or is the instance's base epoch),
-      // and a revert to an earlier link-state vector returns that same
-      // epoch object, so entries keep hitting across A->B->A churn.
-      const netsim::ShortestPaths* igp = nullptr;
-      std::vector<bgp::Candidate> candidates;  // ascending path order
-      core::NodeDecision decision;
-      bgp::SelectionProvenance provenance;
-    };
-    /// Hashes of the latest keys that missed.  Only a key met before gets
-    /// an entry: storing every miss costs rr-1k about 12% of its peak RSS
-    /// in candidate lists that never recur.
-    std::array<std::uint64_t, kSize> seen{};
-    std::vector<Entry> entries;  // grows to kSize, then replaced round robin
-    std::uint8_t next_seen = 0;
-    std::uint8_t next_entry = 0;
-
-    /// The entry of this key, or nullptr.  `hash` only filters: a hit
-    /// needs the epoch and every (path, learnedFrom) pair to be equal.
-    [[nodiscard]] const Entry* find(std::uint64_t hash, const netsim::ShortestPaths* igp,
-                                    std::span<const bgp::Candidate> candidates) const;
-    /// Records a missed key's decision; stored only if the key recurs.
-    void remember(std::uint64_t hash, const netsim::ShortestPaths* igp,
-                  std::span<const bgp::Candidate> candidates,
-                  const core::NodeDecision& decision,
-                  const bgp::SelectionProvenance& provenance);
-  };
-
   /// Brent's cycle search over the tick boundaries of one run() (DESIGN.md
   /// §15).  The anchor is one boundary's protocol state in relative form —
-  /// queue times after the boundary, seqs and causes counted back from
-  /// next_seq_, each slot's last_delivery only beyond now + 1 (FIFO cannot
-  /// bind below it) — plus the run's totals there.  What the anchor leaves
-  /// out (node and session modes, GR generations, E-BGP liveness, the IGP)
-  /// changes only when a non-UPDATE event is processed, and none is queued
-  /// at or after an eligible boundary.
+  /// queued UPDATEs' times after the boundary, seqs and causes counted back
+  /// from next_seq_, each slot's last_delivery only beyond now + 1 (FIFO
+  /// cannot bind below it) — plus the run's totals there.  What the anchor
+  /// leaves out (the queued events of other kinds, node and session modes,
+  /// GR generations, E-BGP liveness, the IGP) changes only when a
+  /// non-UPDATE event is processed, and processing one resets the watch.
   struct OrbitWatch {
-    std::size_t boundaries = 0;  // eligible boundaries met so far
-    std::vector<Event> queue;    // the current boundary's relative queue
+    std::size_t boundaries = 0;  // boundaries met since the last reset
+    std::vector<Event> queue;    // the current boundary's relative UPDATEs
     // The anchor: protocol state...
     std::vector<Event> anchor_queue;
     std::vector<NodeState> nodes;
@@ -835,9 +802,9 @@ class EventEngine {
   };
 
   /// At a tick boundary of a run that may jump: on a recurrence of the
-  /// anchor, jumps every whole period the budget leaves; otherwise
-  /// re-anchors at the 1st, 2nd, 4th, 8th... eligible boundary.  Returns
-  /// whether to keep watching.
+  /// anchor, jumps every whole period the budget leaves short of the fence
+  /// (the earliest queued non-UPDATE event); otherwise re-anchors at the
+  /// 1st, 2nd, 4th, 8th... boundary.  Returns whether to keep watching.
   bool watch_orbit(OrbitWatch& watch, Result& result, std::size_t max_deliveries);
   /// Accounts for `periods` more repetitions of the period since the
   /// anchor, as stepping them would.
@@ -867,8 +834,8 @@ class EventEngine {
     return slot(from, peer_index(from, to));
   }
   void push_fault(EventKind kind, NodeId a, NodeId b, SimTime when, Cost cost = 0);
-  /// Validates that a—b is a physical link and returns its index.
-  [[nodiscard]] std::size_t require_link(NodeId a, NodeId b, const char* what) const;
+  /// Throws std::invalid_argument unless a—b is a physical link.
+  void require_link(NodeId a, NodeId b, const char* what) const;
   /// Applies a link fault: mutates link_state_ and, if the effective cost
   /// vector changed, swaps in the memoized epoch, severs sessions that lost
   /// IGP reachability, and re-evaluates every up node.
@@ -929,12 +896,8 @@ class EventEngine {
   std::vector<bgp::Candidate> candidates_;
   std::vector<NodeId> sources_;  // attributed holder per candidate
   core::NodeDecision decision_;
-  std::vector<DecisionMemo> memo_;  // per node
-  // Memo lookups not yet flushed into metrics_: volatile metric inputs (a
-  // restored engine starts cold), outside EngineCounters and every hash.
-  std::uint64_t memo_hits_ = 0;
-  std::uint64_t memo_misses_ = 0;
-  // Deliveries orbit jumps accounted for, not yet flushed: volatile too.
+  // Deliveries orbit jumps accounted for, not yet flushed into metrics_: a
+  // volatile metric input, outside EngineCounters and every hash.
   std::uint64_t orbit_skipped_ = 0;
   std::vector<ExportVerdict> verdicts_;
   std::vector<PathId> target_;
@@ -968,8 +931,6 @@ class EventEngine {
     std::array<obs::Counter*, kEngineCounters.size()> counters{};  // kEngineCounters order
     std::array<obs::Counter*, bgp::kSelectionRuleCount> decided{};
     obs::Gauge* queue_depth_max = nullptr;
-    obs::Counter* memo_hits = nullptr;
-    obs::Counter* memo_misses = nullptr;
     obs::Counter* orbit_skipped = nullptr;
   } handles_;
   /// Profiler span sinks (set_profile); null = off, sites never read the

@@ -48,9 +48,6 @@ class SyncEngine {
   /// only when oscillation is detected" deployment runs most nodes on the
   /// standard protocol and upgrades flapping ones to the modified protocol.
   void set_node_protocol(NodeId v, core::ProtocolKind kind) { node_protocol_.at(v) = kind; }
-  [[nodiscard]] core::ProtocolKind node_protocol(NodeId v) const {
-    return node_protocol_.at(v);
-  }
 
   // --- E-BGP dynamics -----------------------------------------------------
 
@@ -60,8 +57,6 @@ class SyncEngine {
 
   /// (Re-)announces a withdrawn exit path.
   void announce_exit(PathId p);
-
-  [[nodiscard]] bool is_announced(PathId p) const { return announced_.at(p); }
 
   /// Ids of currently announced exits, ascending.
   [[nodiscard]] std::vector<PathId> announced_exits() const;

@@ -62,6 +62,22 @@ std::optional<core::Instance> try_build(const InstanceSpec& spec) {
   }
 }
 
+namespace {
+
+ExitSpec exit_spec(const bgp::ExitPath& path) {
+  return {.name = path.name,
+          .at = path.exit_point,
+          .next_as = path.next_as,
+          .med = path.med,
+          .local_pref = path.local_pref,
+          .as_path_length = path.as_path_length,
+          .exit_cost = path.exit_cost,
+          .ebgp_peer = path.ebgp_peer,
+          .communities = path.communities};
+}
+
+}  // namespace
+
 InstanceSpec spec_of(const core::Instance& inst) {
   InstanceSpec spec;
   spec.name = inst.name();
@@ -83,19 +99,7 @@ InstanceSpec spec_of(const core::Instance& inst) {
       spec.client_sessions.push_back({edge.u, edge.v});
     }
   }
-  for (const auto& path : inst.raw_exits().all()) {
-    ExitSpec exit;
-    exit.name = path.name;
-    exit.at = path.exit_point;
-    exit.next_as = path.next_as;
-    exit.med = path.med;
-    exit.local_pref = path.local_pref;
-    exit.as_path_length = path.as_path_length;
-    exit.exit_cost = path.exit_cost;
-    exit.ebgp_peer = path.ebgp_peer;
-    exit.communities = path.communities;
-    spec.exits.push_back(std::move(exit));
-  }
+  for (const auto& path : inst.raw_exits().all()) spec.exits.push_back(exit_spec(path));
   const auto maps = inst.ingress_maps();
   for (NodeId v = 0; v < maps.size(); ++v) {
     for (const auto& clause : maps[v].clauses) {
@@ -193,19 +197,7 @@ InstanceSpec hybrid_spec(const confed::ConfedInstance& confed) {
       }
     }
   }
-  for (const auto& path : confed.exits().all()) {
-    ExitSpec exit;
-    exit.name = path.name;
-    exit.at = path.exit_point;
-    exit.next_as = path.next_as;
-    exit.med = path.med;
-    exit.local_pref = path.local_pref;
-    exit.as_path_length = path.as_path_length;
-    exit.exit_cost = path.exit_cost;
-    exit.ebgp_peer = path.ebgp_peer;
-    exit.communities = path.communities;
-    spec.exits.push_back(std::move(exit));
-  }
+  for (const auto& path : confed.exits().all()) spec.exits.push_back(exit_spec(path));
   return spec;
 }
 

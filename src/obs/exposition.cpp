@@ -15,7 +15,7 @@ std::string exposition_name(std::string_view name) {
     const bool valid = alpha || c == '_' || c == ':' || (digit && i > 0);
     out.push_back(valid ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -17,7 +17,6 @@ struct Lit {
 
   [[nodiscard]] std::uint32_t var() const { return static_cast<std::uint32_t>(value < 0 ? -value : value); }
   [[nodiscard]] bool positive() const { return value > 0; }
-  [[nodiscard]] Lit negated() const { return Lit{-value}; }
 
   friend bool operator==(const Lit&, const Lit&) = default;
 };

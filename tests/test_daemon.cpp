@@ -21,6 +21,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <variant>
@@ -216,6 +217,17 @@ TEST(IngestQueue, FullQueueBackpressuresStateUntilConsumed) {
   EXPECT_EQ(queue.pop().line, "s2");
   producer.join();
   EXPECT_EQ(queue.sheds(), 0u);
+}
+
+TEST(IngestQueue, RefusesCapacityZero) {
+  // Capacity 0 would block the reader on the first state record for good,
+  // where it never sees the drain pipe: only SIGKILL could end the daemon.
+  EXPECT_THROW(IngestQueue{0}, std::invalid_argument);
+  Daemon daemon(fig1a_shared(), ProtocolKind::kModified, DaemonOptions{});
+  ServiceOptions options;
+  options.watchdog_enabled = false;
+  options.queue_capacity = 0;
+  EXPECT_THROW(DaemonService(daemon, STDIN_FILENO, stdout, options), std::invalid_argument);
 }
 
 // --- watchdog ---------------------------------------------------------------
